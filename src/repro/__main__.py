@@ -88,6 +88,12 @@ def _report_engine(args) -> None:
         print(default_engine().stats.describe(), file=sys.stderr)
     from repro.diagnostics import diagnostics
     diagnostics().report(sys.stderr)
+    nonfinite = diagnostics().nonfinite_sequences
+    if nonfinite and (getattr(args, "verbose", False)
+                      or getattr(args, "profile", False)):
+        print(f"behavioral model: {nonfinite} sequences ended with a "
+              f"non-finite cell voltage (forward-Euler instability below "
+              f"~2.1 kOhm, see EXPERIMENTS.md)", file=sys.stderr)
     if getattr(args, "profile", False):
         from repro.engine import default_engine
         from repro.profiling import profiler

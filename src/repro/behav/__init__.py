@@ -4,8 +4,9 @@ The electrical model costs ~0.15 s per operation cycle; Shmoo grids and
 march-test coverage sweeps need thousands of cycles.
 :class:`~repro.behav.model.BehavioralColumn` integrates the same device
 physics (shared MOSFET equations, same technology parameters, same cycle
-timing) phase-by-phase with closed-form boundary conditions instead of
-solving the full MNA system — about three orders of magnitude faster.
+timing) phase-by-phase with fixed-step forward Euler and ideal bit-line
+boundary conditions instead of solving the full MNA system — two to three
+orders of magnitude faster.
 
 The sense decision is a calibrated race: the bit-line differential is
 evaluated a temperature-dependent latch delay *after* sense enable, which

@@ -89,7 +89,11 @@ class RunDiagnostics:
     only succeeded through a fallback ladder; ``retries`` counts batch
     items re-driven after a worker crash; ``timeouts`` and
     ``worker_crashes`` break the failure causes down; ``cache_evictions``
-    counts corrupted on-disk cache entries deleted on read.
+    counts corrupted on-disk cache entries deleted on read;
+    ``nonfinite_sequences`` counts behavioral sequences whose cell
+    voltage went non-finite (forward-Euler instability at low defect
+    resistance; informational, never ``eventful``, shown by the CLI's
+    ``--verbose``/``--profile``).
     """
 
     failures: int = 0
@@ -103,6 +107,7 @@ class RunDiagnostics:
     journal_recovered: int = 0
     journal_holes: int = 0
     journal_missing: int = 0
+    nonfinite_sequences: int = 0
     failure_kinds: dict[str, int] = field(default_factory=dict)
     rescue_stages: dict[str, int] = field(default_factory=dict)
     solver_kernels: dict[str, int] = field(default_factory=dict)
@@ -164,6 +169,10 @@ class RunDiagnostics:
         for name, n in counters.items():
             self.surrogate_counters[name] = \
                 self.surrogate_counters.get(name, 0) + n
+
+    def record_nonfinite_sequence(self) -> None:
+        """One behavioral sequence whose cell voltage went non-finite."""
+        self.nonfinite_sequences += 1
 
     def record_retry(self, count: int = 1) -> None:
         """Batch items re-driven after an infrastructure fault."""

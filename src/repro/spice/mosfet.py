@@ -117,32 +117,42 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def mosfet_curves(params: MosfetParams, w_over_l: float, vgs: float,
-                  vds: float, temp_c: float) -> tuple[float, float, float]:
+def level1_curves(beta: float, nvt: float, vth: float, lam: float,
+                  vgs: float, vds: float) -> tuple[float, float, float]:
     """Level-1 characteristics ``(ids, gm, gds)`` in the NMOS frame.
 
-    Requires ``vds >= 0`` (the caller handles source/drain swapping and
-    PMOS mirroring).  Shared by the :class:`Mosfet` device and the fast
-    behavioral column model, so both use *identical* device physics.
+    ``beta``/``nvt``/``vth``/``lam`` are the temperature-resolved device
+    parameters (``kp_at(T) * w/l``, ``n_ss * vt(T)``, ``vth_at(T)``,
+    channel-length modulation).  Requires ``vds >= 0`` (the caller
+    handles source/drain swapping and PMOS mirroring).  The one scalar
+    copy of the device equations: :func:`mosfet_curves` (the
+    :class:`Mosfet` device) and the behavioral column model both call
+    it, so both use *identical* device physics.
     """
-    beta = params.kp_at(temp_c) * w_over_l
-    nvt = params.n_ss * thermal_voltage(temp_c)
-    vov = vgs - params.vth_at(temp_c)
+    vov = vgs - vth
     u = vov / nvt
     veff = nvt * _softplus(u)      # smooth overdrive (-> vov when on)
     dveff = _sigmoid(u)            # d(veff)/d(vgs)
-    clm = 1.0 + params.lam * vds
+    clm = 1.0 + lam * vds
     if vds < veff:  # triode
         ids = beta * (veff - 0.5 * vds) * vds * clm
         gm = beta * vds * clm * dveff
         gds = beta * ((veff - vds) * clm
-                      + (veff - 0.5 * vds) * vds * params.lam)
+                      + (veff - 0.5 * vds) * vds * lam)
     else:  # saturation
         half_beta_veff2 = 0.5 * beta * veff * veff
         ids = half_beta_veff2 * clm
         gm = beta * veff * clm * dveff
-        gds = half_beta_veff2 * params.lam
+        gds = half_beta_veff2 * lam
     return ids, gm, gds
+
+
+def mosfet_curves(params: MosfetParams, w_over_l: float, vgs: float,
+                  vds: float, temp_c: float) -> tuple[float, float, float]:
+    """:func:`level1_curves` with ``params`` resolved at ``temp_c``."""
+    return level1_curves(params.kp_at(temp_c) * w_over_l,
+                         params.n_ss * thermal_voltage(temp_c),
+                         params.vth_at(temp_c), params.lam, vgs, vds)
 
 
 def _softplus_each(u: np.ndarray) -> np.ndarray:
@@ -163,12 +173,10 @@ def _sigmoid_each(u: np.ndarray) -> np.ndarray:
 def mosfet_curves_vec(beta: np.ndarray, nvt: np.ndarray, vth: np.ndarray,
                       lam: np.ndarray, vgs: np.ndarray, vds: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`mosfet_curves` over per-device parameter arrays.
+    """Vectorized :func:`level1_curves` over per-device parameter arrays.
 
-    ``beta``/``nvt``/``vth``/``lam`` are the temperature-resolved device
-    parameters (``kp_at(T) * w/l``, ``n_ss * vt(T)``, ``vth_at(T)``,
-    channel-length modulation); ``vgs``/``vds`` the NMOS-frame terminal
-    voltages with ``vds >= 0``.  Element-for-element bitwise-identical
+    Takes the same temperature-resolved parameters as the scalar core,
+    one element per device.  Element-for-element bitwise-identical
     to the scalar function: every arithmetic step mirrors its operation
     order and the transcendentals go through the same scalar kernels.
     """

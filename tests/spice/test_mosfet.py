@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,9 +12,13 @@ from repro.spice.mosfet import (
     MosfetParams,
     NMOS_DEFAULT,
     PMOS_DEFAULT,
+    level1_curves,
     mosfet_curves,
+    mosfet_curves_vec,
 )
+from repro.spice.devices import thermal_voltage
 from repro.spice.netlist import Circuit
+from repro.dram.tech import default_tech
 
 
 def _nmos(w=1e-6, l=0.25e-6, params=NMOS_DEFAULT):
@@ -111,6 +116,39 @@ class TestRegions:
         i_hi, _, _ = mosfet_curves(params, w_over_l, vgs, veff + 1e-6,
                                    27.0)
         assert i_lo == pytest.approx(i_hi, rel=1e-4)
+
+
+_PARAMS = (NMOS_DEFAULT, PMOS_DEFAULT, default_tech().access_params)
+_VGS = st.floats(-3.0, 5.0)
+_VDS = st.floats(0.0, 4.0)
+_TEMP = st.floats(-50.0, 150.0)
+
+
+class TestLevel1Core:
+    """The scalar core is the one copy of the device equations; the
+    parameter-resolving wrapper and the vectorized form must match it
+    bit for bit."""
+
+    @given(params=st.sampled_from(_PARAMS), w_over_l=st.floats(0.5, 20.0),
+           vgs=_VGS, vds=_VDS, temp_c=_TEMP)
+    def test_wrapper_is_core_at_resolved_params(self, params, w_over_l,
+                                                 vgs, vds, temp_c):
+        core = level1_curves(params.kp_at(temp_c) * w_over_l,
+                             params.n_ss * thermal_voltage(temp_c),
+                             params.vth_at(temp_c), params.lam, vgs, vds)
+        wrapped = mosfet_curves(params, w_over_l, vgs, vds, temp_c)
+        assert [x.hex() for x in core] == [x.hex() for x in wrapped]
+
+    @given(st.lists(st.tuples(st.sampled_from(_PARAMS),
+                              st.floats(0.5, 20.0), _VGS, _VDS, _TEMP),
+                    min_size=1, max_size=12))
+    def test_vectorized_matches_core_elementwise(self, devices):
+        rows = [(p.kp_at(t) * wl, p.n_ss * thermal_voltage(t), p.vth_at(t),
+                 p.lam, vgs, vds) for p, wl, vgs, vds, t in devices]
+        vec = mosfet_curves_vec(*(np.array(col) for col in zip(*rows)))
+        for i, row in enumerate(rows):
+            assert [float(v[i]).hex() for v in vec] \
+                == [x.hex() for x in level1_curves(*row)]
 
 
 class TestSymmetryAndPolarity:
