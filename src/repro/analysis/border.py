@@ -129,6 +129,36 @@ class BorderResult:
 #: the search gives up on that probe point.
 _PROBE_NUDGES = (1.0, 1.03, 1.0 / 1.03)
 
+#: Speculation depth of a prefetching bisection: before each midpoint
+#: probe the ``prefetch`` hook receives the full binary subdivision tree
+#: of the current bracket to this depth (``2**depth - 1`` probes
+#: covering the next ``depth`` bisection levels), e.g. to run them as
+#: lanes of one batched transient.  Depth 2 is the sweet spot measured
+#: in ``benchmarks/bench_array_lanes.py``: 3 probes per 2 consumed
+#: levels (1.5x speculative waste) against the batched transient's
+#: per-probe amortization; deeper trees waste more probes than the
+#: wider batch recovers.
+SPECULATE_DEPTH = 2
+
+
+def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """Every log-midpoint the next ``depth`` bisection levels of
+    ``[lo, hi]`` could probe, whichever way each comparison goes.
+
+    Built by the *same* recursive ``sqrt(lo * hi)`` arithmetic the
+    bisection uses, so each value is bitwise the probe the bisection
+    would compute — a speculating caller answers the identical
+    questions, it just asks them ``depth`` levels at a time.
+    """
+    if depth <= 0:
+        return []
+    mid = math.sqrt(lo * hi)
+    out = [mid]
+    if depth > 1:
+        out += _midpoint_tree(lo, mid, depth - 1)
+        out += _midpoint_tree(mid, hi, depth - 1)
+    return out
+
 
 def border_resistance(model: ColumnModel, *, fails_high: bool,
                       r_lo: float, r_hi: float,
@@ -136,7 +166,9 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
                       sequences: Sequence[str] | None = None,
                       rel_tol: float = 0.05,
                       on_error: str = "raise",
-                      prior: float | None = None) -> BorderResult:
+                      prior: float | None = None,
+                      prefetch: Callable[[list[float]], None] | None = None
+                      ) -> BorderResult:
     """Bisect the border resistance in ``[r_lo, r_hi]`` (log space).
 
     ``fails_high`` selects the polarity (True for opens).  A custom
@@ -163,9 +195,22 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
     result brackets around it at reduced accuracy), and an unprobeable
     endpoint yields an undetermined result — all reported through
     ``n_failed_probes`` instead of an exception.
+
+    ``prefetch`` is an optional speculation hook for batch-aware
+    callers.  Before each midpoint probe of the plain loop it receives
+    :func:`_midpoint_tree` of the current bracket, to at most
+    :data:`SPECULATE_DEPTH` levels and never past the levels the
+    tolerance leaves; the first entry is the midpoint about to be
+    probed.  A hook that already holds that probe is inside a prefetched
+    tree and may return at once.  The hook only warms the predicate:
+    the probes and the border stay exactly those of the plain loop.
     """
     if r_lo <= 0 or r_hi <= r_lo:
         raise ValueError("require 0 < r_lo < r_hi")
+    if not rel_tol > 0:
+        # sqrt(lo * hi) stops moving once lo and hi are adjacent floats,
+        # so a zero tolerance would never end; a NaN one never starts.
+        raise ValueError(f"require rel_tol > 0, got {rel_tol!r}")
     if on_error not in ("raise", "isolate"):
         raise ValueError(f"unknown on_error policy {on_error!r}")
     if predicate is None:
@@ -235,6 +280,13 @@ def border_resistance(model: ColumnModel, *, fails_high: bool,
     # Invariant depends on polarity: for opens lo is clean / hi faulty;
     # for shorts lo is faulty / hi clean.
     while hi / lo > 1.0 + rel_tol:
+        if prefetch is not None:
+            # Each level halves the log-bracket, so the levels left
+            # follow from the current width against the tolerance.
+            left = math.ceil(math.log2(
+                math.log(hi / lo) / math.log(1.0 + rel_tol)))
+            prefetch(_midpoint_tree(lo, hi,
+                                    min(SPECULATE_DEPTH, max(1, left))))
         mid = math.sqrt(lo * hi)
         mid_faulty = probe(mid)
         if mid_faulty is None:

@@ -7,12 +7,20 @@ the same building blocks: one folded cell-array column (2×2 memory cells,
 driver and one data output buffer, plus a timing generator parameterised by
 the stress conditions.
 
+Beyond the paper, :func:`repro.dram.array.build_array` and the trim layer
+(:mod:`repro.dram.trim`) scale the same cells to an R×C array.
+
 Entry points:
 
 * :func:`repro.dram.column.build_column` — build the column netlist,
-* :class:`repro.dram.runner.ColumnRunner` — apply ``w0``/``w1``/``r``
-  operation cycles to a (possibly defective) column and observe the cell
-  voltage and data output.
+* :mod:`repro.dram.runner` — apply ``w0``/``w1``/``r`` operation cycles
+  to a (possibly defective) cell and observe the cell voltage and the
+  sensed bit.  One serial driver and one lane driver (many defect
+  resistances per transient) each serve both topologies:
+  :class:`~repro.dram.runner.ColumnRunner` and
+  :class:`~repro.dram.runner.LaneRunner` on the column,
+  :class:`~repro.dram.runner.ArrayRunner` and
+  :class:`~repro.dram.runner.ArrayLaneRunner` on the array.
 """
 
 from repro.dram.tech import TechnologyParams, default_tech

@@ -66,40 +66,46 @@ RETRY_BACKOFF = 0.1
 _UNSET = object()
 
 
-def _model_for(request: SequenceRequest):
-    """Build (or reuse) the model (column or array) serving ``request``."""
-    key = (request.backend, request.tech, request.defect_kind,
+def _model_for(request: SequenceRequest, lanes: bool = False):
+    """Build (or reuse) the model serving ``request``: its backend's
+    serial model on its topology (column or array), or with ``lanes``
+    the topology's lane runner, whose resistance is set per lane."""
+    key = (lanes, request.backend, request.tech, request.defect_kind,
            request.cell, request.geometry, request.address, request.trim)
     model = _PROCESS_MODELS.get(key)
     if model is None:
-        site = request.site()
-        if request.geometry is not None:
-            if request.backend != "electrical":
-                raise ValueError(
-                    f"array requests support only the electrical "
-                    f"backend, not {request.backend!r}")
-            from repro.dram.runner import ArrayRunner
-            model = ArrayRunner(tech=request.tech, stress=request.stress,
-                                defect=site, geometry=request.geometry,
-                                address=request.address,
-                                trim=request.trim)
-        elif request.backend == "electrical":
-            from repro.dram.runner import ColumnRunner
-            model = ColumnRunner(tech=request.tech, stress=request.stress,
-                                 defect=site, target_cell=request.cell)
-        elif request.backend == "behavioral":
-            from repro.behav.model import BehavioralColumn
-            model = BehavioralColumn(tech=request.tech,
-                                     stress=request.stress,
-                                     defect=site,
-                                     target_cell=request.cell)
-        else:
-            raise ValueError(f"unknown backend {request.backend!r}")
+        model = _build_model(request, lanes)
         _PROCESS_MODELS[key] = model
     model.set_stress(request.stress)
-    if request.resistance is not None:
+    if not lanes and request.resistance is not None:
         model.set_defect_resistance(request.resistance)
     return model
+
+
+def _build_model(request: SequenceRequest, lanes: bool):
+    if request.geometry is not None and request.backend != "electrical":
+        raise ValueError(f"array requests support only the electrical "
+                         f"backend, not {request.backend!r}")
+    common = {"tech": request.tech, "stress": request.stress}
+    if request.backend == "behavioral":
+        from repro.behav.model import BehavioralColumn
+        return BehavioralColumn(defect=request.site(),
+                                target_cell=request.cell, **common)
+    if request.backend != "electrical":
+        raise ValueError(f"unknown backend {request.backend!r}")
+    from repro.dram import runner
+    if request.geometry is None:
+        if lanes:
+            return runner.LaneRunner(defect_kind=request.defect_kind,
+                                     target_cell=request.cell, **common)
+        return runner.ColumnRunner(defect=request.site(),
+                                   target_cell=request.cell, **common)
+    common.update(geometry=request.geometry, address=request.address,
+                  trim=request.trim)
+    if lanes:
+        return runner.ArrayLaneRunner(defect_kind=request.defect_kind,
+                                      cell=request.cell, **common)
+    return runner.ArrayRunner(defect=request.site(), **common)
 
 
 def execute_request(request: SequenceRequest) -> SequenceResult:
@@ -163,29 +169,12 @@ def execute_lane_group(requests: Sequence[SequenceRequest]
 
     Returns per-request :class:`SequenceResult` slots (``None`` where a
     lane was isolated and must re-run on the legacy path) plus the lane
-    counters.  Shares :data:`_PROCESS_MODELS` under a ``"lanes"`` key so
-    repeated sweeps reuse the built netlist and compiled plans.
+    counters.  The lane runner lives in :data:`_PROCESS_MODELS` beside
+    the serial models, so repeated sweeps reuse the built netlist and
+    compiled plans.
     """
     first = requests[0]
-    key = ("lanes", first.tech, first.defect_kind, first.cell,
-           first.geometry, first.address, first.trim)
-    model = _PROCESS_MODELS.get(key)
-    if model is None:
-        if first.geometry is not None:
-            from repro.dram.runner import ArrayLaneRunner
-            model = ArrayLaneRunner(tech=first.tech, stress=first.stress,
-                                    defect_kind=first.defect_kind,
-                                    cell=first.cell,
-                                    geometry=first.geometry,
-                                    address=first.address,
-                                    trim=first.trim)
-        else:
-            from repro.dram.runner import LaneRunner
-            model = LaneRunner(tech=first.tech, stress=first.stress,
-                               defect_kind=first.defect_kind,
-                               target_cell=first.cell)
-        _PROCESS_MODELS[key] = model
-    model.set_stress(first.stress)
+    model = _model_for(first, lanes=True)
     lanes_in = [(r.resistance, r.init_vc) for r in requests]
     return model.run_sequences(parse_ops(first.ops), lanes_in,
                                background=first.background)

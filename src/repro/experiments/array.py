@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.analysis.border import (SPECULATE_DEPTH, _midpoint_tree,
+                                   border_resistance)
 from repro.dram.column import DEFECT_KINDS, DefectSite
 from repro.engine import SequenceRequest, default_engine
 from repro.report.tables import render_table
@@ -32,46 +34,6 @@ from repro.stress import NOMINAL_STRESS, StressConditions
 #: Resistance decade window bracketing every array-routed border.
 DEFAULT_R_LO = 1e3
 DEFAULT_R_HI = 1e9
-
-
-def _vc_end(engine, *, kind: str, cell: int, resistance: float,
-            geometry, address, trim, ops: str, init_vc: float,
-            stress: StressConditions, tech) -> float:
-    request = SequenceRequest.build(
-        ops, init_vc, backend="electrical",
-        defect=DefectSite(kind, cell, resistance), stress=stress,
-        tech=tech, geometry=geometry, address=address, trim=trim)
-    return engine.run(request).results[-1].vc_end
-
-
-#: Speculation depth of the lane-batched bisection: each generation
-#: prefetches the full binary subdivision tree of the current bracket to
-#: this depth (``2**depth - 1`` probes covering the next ``depth``
-#: bisection levels) as lanes of one batched transient.  Depth 2 is the
-#: sweet spot measured in ``benchmarks/bench_array_lanes.py``: 3 probes
-#: per 2 consumed levels (1.5x speculative waste) against the batched
-#: transient's per-probe amortization; deeper trees waste more probes
-#: than the wider batch recovers.
-SPECULATE_DEPTH = 2
-
-
-def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
-    """Every log-midpoint the next ``depth`` bisection levels of
-    ``[lo, hi]`` could probe, whichever way each comparison goes.
-
-    Built by the *same* recursive ``sqrt(lo * hi)`` arithmetic the
-    serial loop uses, so each value is bitwise the probe the bisection
-    would compute — the speculative path answers the identical
-    questions, it just asks them ``depth`` levels at a time.
-    """
-    if depth <= 0:
-        return []
-    mid = math.sqrt(lo * hi)
-    out = [mid]
-    if depth > 1:
-        out += _midpoint_tree(lo, mid, depth - 1)
-        out += _midpoint_tree(mid, hi, depth - 1)
-    return out
 
 
 def activation_disturb_br(kind: str, *, geometry: tuple[int, int],
@@ -88,26 +50,25 @@ def activation_disturb_br(kind: str, *, geometry: tuple[int, int],
                           rel_tol: float = 0.05) -> float:
     """Border resistance of one defect kind under array activation.
 
-    Bisects (in log-resistance) the point where the victim's
-    end-of-sequence voltage crosses the midpoint between its value at
-    ``r_lo`` (defect fully expressed for shorts/bridges, healed for
-    opens) and at ``r_hi``.  ``rel_tol`` bounds the returned border's
-    relative width, matching the column optimizer's convention.
+    Bisects (in log-resistance, through
+    :func:`repro.analysis.border.border_resistance`) the point where
+    the victim's end-of-sequence voltage crosses the midpoint between
+    its value at ``r_lo`` (defect fully expressed for shorts/bridges,
+    healed for opens) and at ``r_hi``.  ``rel_tol`` bounds the returned
+    border's relative width, matching the column optimizer's convention.
 
     ``cell`` defaults to the array's center cell so the trimming
     neighborhood is fully interior; ``init_vc`` defaults to a stored
     ``1`` (``stress.vdd``), the worst case for activation disturbance.
 
     When the engine's lane width admits batching
-    (:meth:`~repro.engine.BatchExecutor.effective_lanes` ≥ 2), each
-    bisection generation *speculatively* probes the full midpoint tree
-    of the current bracket (:data:`SPECULATE_DEPTH` levels at once):
-    the probes differ only in defect resistance, so they stack as lanes
-    of one batched transient, and successive generations warm-start
-    from the previous one's converged trajectories.  The tree contains
-    exactly the candidate midpoints the serial loop would compute
-    (see :func:`_midpoint_tree`), so the bisection consumes identical
-    probe values and returns the identical border.
+    (:meth:`~repro.engine.BatchExecutor.effective_lanes` ≥ 2), the
+    search *speculatively* probes the midpoint tree of each bracket
+    (the bisection's ``prefetch`` hook): the probes differ only in
+    defect resistance, so they stack as lanes of one batched transient,
+    and successive generations warm-start from the previous one's
+    converged trajectories.  The tree holds exactly the midpoints the
+    bisection computes, so the border is identical either way.
     """
     rows, cols = geometry
     if cell is None:
@@ -117,56 +78,53 @@ def activation_disturb_br(kind: str, *, geometry: tuple[int, int],
     if engine is None:
         engine = default_engine()
 
+    def request(resistance: float) -> SequenceRequest:
+        return SequenceRequest.build(
+            ops, init_vc, backend="electrical",
+            defect=DefectSite(kind, cell, resistance), stress=stress,
+            tech=tech, geometry=geometry, address=address, trim=trim)
+
     speculate = getattr(engine, "effective_lanes", lambda: 0)() >= 2
     memo: dict[float, float] = {}
 
-    def prefetch(resistances) -> None:
+    def fetch(resistances) -> None:
         todo = [r for r in dict.fromkeys(resistances) if r not in memo]
-        if not todo:
-            return
-        requests = [SequenceRequest.build(
-            ops, init_vc, backend="electrical",
-            defect=DefectSite(kind, cell, r), stress=stress,
-            tech=tech, geometry=geometry, address=address, trim=trim)
-            for r in todo]
-        for r, result in zip(todo, engine.map(requests)):
-            memo[r] = result.results[-1].vc_end
+        if todo:
+            results = engine.map([request(r) for r in todo])
+            for r, result in zip(todo, results):
+                memo[r] = result.results[-1].vc_end
 
-    def f(resistance: float) -> float:
-        if speculate:
-            prefetch([resistance])
-            return memo[resistance]
-        return _vc_end(engine, kind=kind, cell=cell,
-                       resistance=resistance, geometry=geometry,
-                       address=address, trim=trim, ops=ops,
-                       init_vc=init_vc, stress=stress, tech=tech)
+    def vc_end(resistance: float) -> float:
+        if resistance not in memo:
+            if speculate:
+                fetch([resistance])
+            else:
+                memo[resistance] = \
+                    engine.run(request(resistance)).results[-1].vc_end
+        return memo[resistance]
+
+    def speculative(tree: list[float]) -> None:
+        if tree[0] not in memo:
+            fetch(tree)
 
     if speculate:
-        prefetch([r_lo, r_hi] + _midpoint_tree(r_lo, r_hi,
-                                               SPECULATE_DEPTH))
-    v_lo, v_hi = f(r_lo), f(r_hi)
+        fetch([r_lo, r_hi] + _midpoint_tree(r_lo, r_hi, SPECULATE_DEPTH))
+    v_lo, v_hi = vc_end(r_lo), vc_end(r_hi)
     if math.isclose(v_lo, v_hi, abs_tol=1e-6):
         raise ValueError(
             f"defect {kind!r} shows no resistance dependence on "
             f"[{r_lo:.3g}, {r_hi:.3g}] ohm (Δvc={abs(v_hi - v_lo):.2e})")
     v_mid = 0.5 * (v_lo + v_hi)
-    lo, hi = r_lo, r_hi
     below = v_lo < v_mid
-    while hi / lo > 1.0 + rel_tol:
-        mid = math.sqrt(lo * hi)
-        if speculate and mid not in memo:
-            # Never speculate past the bisection's own horizon: each
-            # level halves the log-bracket, so the levels left follow
-            # from the current width against the tolerance.
-            left = math.ceil(math.log2(
-                math.log(hi / lo) / math.log(1.0 + rel_tol)))
-            prefetch(_midpoint_tree(lo, hi,
-                                    min(SPECULATE_DEPTH, max(1, left))))
-        if (f(mid) < v_mid) == below:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    # "Faulty" here means: on the r_hi side of the crossing.
+    border = border_resistance(
+        None, fails_high=True, r_lo=r_lo, r_hi=r_hi, rel_tol=rel_tol,
+        predicate=lambda r: (vc_end(r) < v_mid) != below,
+        prefetch=speculative if speculate else None)
+    if not border.found:
+        raise ValueError(f"defect {kind!r}: vc_end never crosses "
+                         f"{v_mid:.4g} V on [{r_lo:.3g}, {r_hi:.3g}] ohm")
+    return border.resistance
 
 
 @dataclass

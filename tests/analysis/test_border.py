@@ -62,6 +62,43 @@ class TestMockedPredicate:
             border_resistance(self._model(), fails_high=True,
                               r_lo=1e6, r_hi=1e4)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -0.05, float("nan")])
+    @pytest.mark.parametrize("prior", [None, 3e5])
+    def test_rejects_non_positive_or_nan_rel_tol(self, rel_tol, prior):
+        """A zero tolerance used to spin forever (sqrt(lo*hi) stops
+        moving between adjacent floats); NaN silently skipped the
+        search.  Both are refused before any probe."""
+        probes = []
+        with pytest.raises(ValueError, match="rel_tol"):
+            border_resistance(
+                self._model(), fails_high=True, r_lo=1e4, r_hi=1e7,
+                predicate=lambda r: probes.append(r) or r > 3e5,
+                rel_tol=rel_tol, prior=prior)
+        assert probes == []
+
+    def test_prefetch_sees_each_midpoint_first(self):
+        """The hook gets the bracket's midpoint tree before every
+        probe and leaves the probes and the border unchanged."""
+        probes, trees = [], []
+
+        def faulty(r):
+            probes.append(r)
+            return r > 3.3e5
+
+        plain = border_resistance(
+            self._model(), fails_high=True, r_lo=1e4, r_hi=1e7,
+            predicate=faulty, rel_tol=0.02)
+        plain_probes = list(probes)
+        probes.clear()
+        hooked = border_resistance(
+            self._model(), fails_high=True, r_lo=1e4, r_hi=1e7,
+            predicate=faulty, rel_tol=0.02, prefetch=trees.append)
+        assert hooked == plain
+        assert probes == plain_probes
+        assert [tree[0] for tree in trees] == plain_probes[2:]
+        assert all(len(tree) in (1, 3) for tree in trees)
+        assert len(trees[-1]) == 1
+
 
 class TestRealDefects:
     def test_open_border_found(self):

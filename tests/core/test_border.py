@@ -80,3 +80,10 @@ class TestRealBorders:
         lo, hi = defect.kind.search_range
         if border.found:
             assert lo <= border.resistance <= hi
+
+    @pytest.mark.parametrize("rel_tol", [0.0, float("nan")])
+    def test_rejects_non_positive_or_nan_rel_tol(self, rel_tol):
+        defect = Defect(DefectKind.O3, resistance=2e5)
+        with pytest.raises(ValueError, match="rel_tol"):
+            find_border_resistance(behavioral_model(defect), defect,
+                                   rel_tol=rel_tol, surrogate=False)

@@ -78,6 +78,13 @@ class TestArrayLaneParity:
         with pytest.raises(NetlistError):
             runner.run_sequences("w1 r1", [(2e5, 0.0)])
 
+    def test_serial_cell_override_rejected(self):
+        """The shared serial driver's ``cell`` override is column-only:
+        an array cycle always accesses the runner's address."""
+        runner = ArrayRunner(geometry=(4, 4))
+        with pytest.raises(NetlistError):
+            runner.run_op("r", runner.idle_state(VDD), cell=3)
+
 
 class TestWarmStarts:
     def test_second_generation_hits_the_bank(self):

@@ -49,6 +49,27 @@ class TestLaneGroupParity:
         counters = diagnostics().lane_counters
         assert counters.get("lanes_launched", 0) >= 3
 
+    def test_sparse_column_groups_report_sparse_counters(self,
+                                                          monkeypatch):
+        """A column lane group on the sparse lane system passes every
+        batch counter through, so the engine counts it as sparse."""
+        pytest.importorskip("scipy")
+        # Lane runners built by earlier tests hold dense lane systems.
+        monkeypatch.setattr(executor_mod, "_PROCESS_MODELS", {})
+        from repro.dram.runner import LaneRunner
+        from repro.spice.backends import set_backend_default
+        prev = set_backend_default("sparse")
+        try:
+            _, counters = LaneRunner(defect_kind="open_sn").run_sequences(
+                "w1", [(5e4, 0.0), (3e5, 0.0)])
+            engine = BatchExecutor(cache=None, lanes=4)
+            engine.map(_requests([50e3, 120e3, 300e3]))
+        finally:
+            set_backend_default(prev)
+        assert counters["lane_sparse_groups"] == 1
+        assert "lane_symbolic_reuse" in counters
+        assert engine.stats.lane_sparse_groups == 1
+
     def test_single_miss_stays_serial(self):
         """One laneable request is not worth a lane group."""
         requests = _requests([50e3])
