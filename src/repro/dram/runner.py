@@ -34,7 +34,7 @@ from repro.spice.errors import NetlistError
 from repro.spice.lanes import (LaneSystem, LaneWarmBank, lane_transient,
                                make_lane_system)
 from repro.spice.mna import System
-from repro.spice.transient import kernels_enabled, transient
+from repro.spice.transient import transient
 from repro.spice.waveforms import Constant, Pulse
 
 
@@ -293,7 +293,7 @@ class _SerialDriver:
         waves, t_sample = self._cycle(op, cell)
         self.netlist.set_waveforms(waves)
         dt = self.stress.tcyc * self.tech.dt_frac
-        if self._system is None and kernels_enabled():
+        if self._system is None:
             self._system = System(self.netlist.circuit)
         res = transient(self.netlist.circuit, self.stress.tcyc, dt,
                         temp_c=self.stress.temp_c, initial=state,

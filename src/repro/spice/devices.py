@@ -185,18 +185,23 @@ class CurrentSource(Device):
         st.current(self.p, self.n, self.waveform.value(st.ctx.time))
 
 
-def diode_iv_vec(v: np.ndarray, vt: np.ndarray, isat: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :meth:`Diode.iv` over per-device parameter arrays.
+def diode_iv_vec(v: np.ndarray, vt: np.ndarray, isat: np.ndarray, *,
+                 exact: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Diode.iv` over ``(devices,)`` or ``(lanes, devices)`` arrays.
 
     ``vt`` is the temperature-resolved ``emission * kT/q`` and ``isat``
-    the temperature-resolved saturation current.  Element-for-element
-    bitwise-identical to the scalar method: the exponential goes through
-    the same scalar ``math.exp`` (numpy's SIMD ``exp`` differs in the
-    last ulp) while the surrounding arithmetic is vectorized.
+    the temperature-resolved saturation current.  With ``exact`` the
+    exponential goes through the scalar libm ``math.exp``, so each
+    element is bitwise that of the scalar method; ``exact=False`` uses
+    numpy's SIMD ``exp``, equal to the last ulp (the lane kernel).
     """
     arg = np.minimum(v / vt, _EXP_CLAMP)
-    e = np.fromiter((math.exp(float(a)) for a in arg), float, len(arg))
+    if exact:
+        flat = arg.ravel().tolist()
+        e = np.fromiter(map(math.exp, flat), float,
+                        len(flat)).reshape(arg.shape)
+    else:
+        e = np.exp(arg)
     i = isat * (e - 1.0)
     gd = isat * e / vt
     return i, gd
@@ -214,8 +219,15 @@ class Diode(Device):
                  isat: float = 1e-14, emission: float = 1.0,
                  temp_nom_c: float = 27.0, isat_tdouble: float = 10.0):
         super().__init__(name, (anode, cathode))
-        if isat <= 0:
-            raise NetlistError(f"diode {name!r}: isat must be > 0")
+        # NaN-safe: every comparison with NaN is False.
+        if not (isat > 0 and emission > 0 and isat_tdouble > 0):
+            raise NetlistError(
+                f"diode {name!r}: isat, emission and isat_tdouble must be "
+                f"> 0, got {isat}, {emission}, {isat_tdouble}")
+        if not math.isfinite(temp_nom_c):
+            raise NetlistError(
+                f"diode {name!r}: temp_nom_c must be finite, "
+                f"got {temp_nom_c}")
         self.isat = float(isat)
         self.emission = float(emission)
         self.temp_nom_c = float(temp_nom_c)

@@ -9,7 +9,7 @@ a single masked Newton loop per timestep
 (:func:`~repro.spice.solver.newton_solve_lanes`), so the per-step cost
 is one batched LAPACK call instead of N sequential solves.
 
-Policy, mirroring the PR 3 ``use_kernels`` convention:
+Policy:
 
 * lanes are **opt-in** (``repro.spice.transient.set_lanes_default``);
   the per-lane path stays the default and the parity baseline;

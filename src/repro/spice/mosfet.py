@@ -74,8 +74,15 @@ class MosfetParams:
         if self.polarity not in ("n", "p"):
             raise NetlistError(f"polarity must be 'n' or 'p', "
                                f"got {self.polarity!r}")
-        if self.kp <= 0 or self.vth0 <= 0 or self.n_ss < 1.0:
-            raise NetlistError("kp and vth0 must be positive, n_ss >= 1")
+        # NaN-safe: every comparison with NaN is False.
+        if not (self.kp > 0 and self.vth0 > 0 and self.n_ss >= 1.0):
+            raise NetlistError(f"kp and vth0 must be positive, n_ss >= 1, "
+                               f"got kp={self.kp}, vth0={self.vth0}, "
+                               f"n_ss={self.n_ss}")
+        for field in ("lam", "mu_exp", "vth_tc", "temp_nom_c"):
+            if not math.isfinite(getattr(self, field)):
+                raise NetlistError(f"{field} must be finite, "
+                                   f"got {getattr(self, field)}")
 
     def with_(self, **kwargs) -> "MosfetParams":
         """Return a copy with some fields replaced."""
@@ -155,35 +162,47 @@ def mosfet_curves(params: MosfetParams, w_over_l: float, vgs: float,
                          params.vth_at(temp_c), params.lam, vgs, vds)
 
 
-def _softplus_each(u: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_softplus` via the scalar math kernel.
+def _softplus_sigmoid(u: np.ndarray, exact: bool
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``(_softplus(u), _sigmoid(u))`` over an array of any
+    shape.
 
-    numpy's SIMD ``exp``/``log1p`` differ from libm in the last ulp;
-    routing the (tiny) transcendental core through the scalar functions
-    keeps the vectorized path bitwise-identical to the per-device one.
+    ``exact`` routes every element through the scalar libm kernels
+    above, so the result is bitwise that of :func:`level1_curves`.
+    Otherwise numpy's SIMD ``exp``/``log1p`` run behind the same clamps;
+    they differ from libm in the last ulp.
     """
-    return np.fromiter((_softplus(float(v)) for v in u), float, len(u))
-
-
-def _sigmoid_each(u: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_sigmoid` via the scalar math kernel."""
-    return np.fromiter((_sigmoid(float(v)) for v in u), float, len(u))
+    if exact:
+        flat = u.ravel().tolist()
+        return (np.fromiter(map(_softplus, flat), float,
+                            len(flat)).reshape(u.shape),
+                np.fromiter(map(_sigmoid, flat), float,
+                            len(flat)).reshape(u.shape))
+    hi, lo = u > _EXP_CLAMP, u < -_EXP_CLAMP
+    uc = np.clip(u, -_EXP_CLAMP, _EXP_CLAMP)
+    sp = np.where(hi, u, np.where(lo, 0.0, np.log1p(np.exp(uc))))
+    sg = np.where(hi, 1.0, np.where(lo, 0.0, 1.0 / (1.0 + np.exp(-uc))))
+    return sp, sg
 
 
 def mosfet_curves_vec(beta: np.ndarray, nvt: np.ndarray, vth: np.ndarray,
-                      lam: np.ndarray, vgs: np.ndarray, vds: np.ndarray
+                      lam: np.ndarray, vgs: np.ndarray, vds: np.ndarray,
+                      *, exact: bool = True
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`level1_curves` over per-device parameter arrays.
+    """:func:`level1_curves` over ``(devices,)`` or ``(lanes, devices)``
+    arrays.
 
     Takes the same temperature-resolved parameters as the scalar core,
-    one element per device.  Element-for-element bitwise-identical
-    to the scalar function: every arithmetic step mirrors its operation
-    order and the transcendentals go through the same scalar kernels.
+    one element per device (broadcast over the lane axis).  Every
+    arithmetic step mirrors the scalar operation order, so with
+    ``exact`` (libm transcendentals) each element is bitwise that of
+    :func:`level1_curves`; ``exact=False`` uses numpy's SIMD
+    transcendentals, equal to the last ulp (the lane kernel).
     """
     vov = vgs - vth
     u = vov / nvt
-    veff = nvt * _softplus_each(u)
-    dveff = _sigmoid_each(u)
+    sp, dveff = _softplus_sigmoid(u, exact)
+    veff = nvt * sp
     clm = 1.0 + lam * vds
     tri = vds < veff
     ids_tri = beta * (veff - 0.5 * vds) * vds * clm
@@ -211,8 +230,9 @@ class Mosfet(Device):
     def __init__(self, name: str, drain: Node, gate: Node, source: Node,
                  params: MosfetParams, w: float = 1e-6, l: float = 0.25e-6):
         super().__init__(name, (drain, gate, source))
-        if w <= 0 or l <= 0:
-            raise NetlistError(f"mosfet {name!r}: w and l must be positive")
+        if not (w > 0 and l > 0):
+            raise NetlistError(f"mosfet {name!r}: w and l must be positive, "
+                               f"got w={w}, l={l}")
         self.params = params
         self.w = float(w)
         self.l = float(l)

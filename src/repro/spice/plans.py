@@ -19,8 +19,9 @@ and the plans are built for it:
   instead of changing the slot structure;
 * the transcendental core of the device models (``exp``, ``log1p``) is
   evaluated with the same scalar :mod:`math` calls as the per-device
-  path (numpy's SIMD transcendentals differ in the last ulp), while all
-  surrounding arithmetic is vectorized.
+  path (the *exact* mode of the array device functions; numpy's SIMD
+  transcendentals differ in the last ulp and serve only the lane
+  kernels), while all surrounding arithmetic is vectorized.
 
 A layer that contains a device the compiler does not understand falls
 back to the per-device path wholesale — partial compilation would break
@@ -142,9 +143,7 @@ class StaticPlan:
         self.spans = spans or {}
 
     def assemble(self, size: int) -> np.ndarray:
-        A = np.zeros((size, size))
-        np.add.at(A, (self.rows, self.cols), self.vals)
-        return A
+        return self.assemble_with_vals(size, self.vals)
 
     def assemble_with_vals(self, size: int,
                            vals: np.ndarray) -> np.ndarray:
@@ -171,10 +170,7 @@ def compile_static(devices, num_nodes: int) -> StaticPlan | None:
                 spans[name] = (start, len(rec.mat))
     except UnsupportedStamp:
         return None
-    if rec.rhs:
-        # The engine discards the static-layer rhs (see System._build_static)
-        # and so does the plan; record nothing rather than diverge.
-        pass
+    # The static-layer rhs is discarded, as System._build_static does.
     rows = [r for r, _, _ in rec.mat]
     cols = [c for _, c, _ in rec.mat]
     vals = [v for _, _, v in rec.mat]
@@ -445,10 +441,12 @@ class NonlinearPlan:
 
     Two bitwise-identical evaluation kernels back :meth:`apply`: an
     array pass (:func:`~repro.spice.mosfet.mosfet_curves_vec`,
-    :func:`~repro.spice.devices.diode_iv_vec`) for large device counts,
-    and a fused scalar loop for small ones, where numpy's fixed per-op
-    overhead dominates the array math (the crossover is
-    :data:`VEC_CROSSOVER`).
+    :func:`~repro.spice.devices.diode_iv_vec` in exact mode) for large
+    device counts, and a fused scalar loop for small ones, where numpy's
+    fixed per-op overhead dominates the array math (the crossover is
+    :data:`VEC_CROSSOVER`).  The array pass and :meth:`apply_lanes`
+    share one linearization (:meth:`_linearize`) and differ only in the
+    transcendental mode and the scatter.
     """
 
     def __init__(self, devices, size: int):
@@ -570,9 +568,9 @@ class NonlinearPlan:
         def _pad(idx: np.ndarray) -> np.ndarray:
             return np.where(idx >= 0, idx, size)
 
-        self._res_gather = np.concatenate(
-            [_pad(self._mos_d), _pad(self._mos_g), _pad(self._mos_s),
-             _pad(self._di_a), _pad(self._di_c)])
+        self._term_idx = np.concatenate(
+            [self._mos_d, self._mos_g, self._mos_s, self._di_a, self._di_c])
+        self._res_gather = _pad(self._term_idx)
         self._res_idx = np.concatenate(
             [self._b_idx[mos_b_pos[:, 0]], self._b_idx[mos_b_pos[:, 1]],
              self._b_idx[di_b_pos[:, 0]], self._b_idx[di_b_pos[:, 1]]])
@@ -601,10 +599,6 @@ class NonlinearPlan:
         self._temp_cache[temp_c] = cached
         return cached
 
-    @staticmethod
-    def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.where(idx >= 0, x[idx], 0.0)
-
     def _loop_meta(self, temp_c: float) -> tuple:
         """Per-device metadata tuples for the fused scalar loop, merged
         with the temperature-resolved parameters and cached per temp."""
@@ -629,32 +623,32 @@ class NonlinearPlan:
         self._loop_cache[temp_c] = cached
         return cached
 
-    def _build_swap_idx(self, sw: list) -> np.ndarray:
-        swap_slots = np.zeros(self._n_A, dtype=bool)
-        swap_slots[self._mos_A_pos] = np.array(sw)[:, None]
+    def _swap_idx(self, swap: np.ndarray) -> np.ndarray:
+        """Combined ``[A | b]`` slot indices for the per-mosfet swap
+        pattern ``swap``, shaped ``(..., n_mosfets)``."""
+        lead = swap.shape[:-1]
+        swap_slots = np.zeros(lead + (self._n_A,), dtype=bool)
+        swap_slots[..., self._mos_A_pos] = swap[..., None]
         A_idx = np.where(swap_slots, self._A_idx_swap, self._A_idx_norm)
-        return np.concatenate([A_idx, self._b_idx_off])
+        return np.concatenate(
+            [A_idx, np.broadcast_to(self._b_idx_off, lead + (self._n_b,))],
+            axis=-1)
 
     def _cache_swap_idx(self, key, idx: np.ndarray) -> None:
         if len(self._swap_idx_cache) > 128:
             self._swap_idx_cache.clear()
         self._swap_idx_cache[key] = idx
 
-    def _swap_AB_idx(self, sw: list) -> np.ndarray:
-        """Combined slot index array for a given per-mosfet swap pattern."""
-        key = tuple(sw)
-        idx = self._swap_idx_cache.get(key)
-        if idx is None:
-            idx = self._build_swap_idx(sw)
-            self._cache_swap_idx(key, idx)
-        return idx
-
-    def _swap_AB_idx_mask(self, mask: int) -> np.ndarray:
-        """Like :meth:`_swap_AB_idx`, keyed by an int swap bitmask."""
+    def _swap_idx_mask(self, mask: int) -> np.ndarray:
+        """:meth:`_swap_idx` of one iterate, cached by its swap bitmask
+        (bit ``k`` set when mosfet ``k`` is swapped)."""
+        if not mask:
+            return self._AB_idx_norm
         idx = self._swap_idx_cache.get(mask)
         if idx is None:
-            idx = self._build_swap_idx(
-                [(mask >> k) & 1 for k in range(len(self.mosfets))])
+            idx = self._swap_idx(np.array(
+                [(mask >> k) & 1 for k in range(len(self.mosfets))],
+                dtype=bool))
             self._cache_swap_idx(mask, idx)
         return idx
 
@@ -755,46 +749,55 @@ class NonlinearPlan:
         n_A = self._n_A
         quant[:n_A] = qa
         quant[n_A:] = vb
-        idx = self._swap_AB_idx_mask(mask) if mask else self._AB_idx_norm
-        np.add.at(flat, idx, quant)
+        np.add.at(flat, self._swap_idx_mask(mask), quant)
 
-    def _apply_vec(self, flat: np.ndarray, x: np.ndarray,
-                   temp_c: float) -> None:
-        """Array-pass evaluation (large device counts)."""
+    def _linearize(self, x: np.ndarray, temp_c: float, exact: bool
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Signed slot values of every device linearized around ``x``.
+
+        ``x`` is one iterate ``(size,)`` or a lane stack ``(lanes,
+        size)``; returns the ``[A | b]`` slot values in the same layout
+        and the per-mosfet swap pattern (``None`` without mosfets).
+        ``exact`` picks the device-model transcendentals: libm (bitwise
+        the scalar loop) or numpy SIMD (lanes).
+        """
         beta, nvt, vth, lam, di_isat, di_vt = self._temp_params(temp_c)
-        quant = self._quant
-        if self.mosfets:
+        g = np.where(self._term_idx >= 0, x[..., self._term_idx], 0.0)
+        nm, nd = len(self.mosfets), len(self.diodes)
+        quant = np.empty(x.shape[:-1] + (self._n_A + self._n_b,))
+        swap = None
+        if nm:
             pol = self._mos_pol
-            vd = self._gather(x, self._mos_d)
-            vg = self._gather(x, self._mos_g)
-            vs = self._gather(x, self._mos_s)
+            vd, vg, vs = g[..., :nm], g[..., nm:2 * nm], g[..., 2 * nm:3 * nm]
             swap = pol * (vd - vs) < 0.0
             vnd = np.where(swap, vs, vd)
             vns = np.where(swap, vd, vs)
             vgs = pol * (vg - vns)
             vds = pol * (vnd - vns)
-            ids, gm, gds = mosfet_curves_vec(beta, nvt, vth, lam, vgs, vds)
-            i_real = pol * ids
-            residual = i_real - gds * (vnd - vns) - gm * (vg - vns)
-            quant[self._mos_A_pos[:, :4]] = gds[:, None]
-            quant[self._mos_A_pos[:, 4:]] = gm[:, None]
+            ids, gm, gds = mosfet_curves_vec(beta, nvt, vth, lam, vgs, vds,
+                                             exact=exact)
+            residual = pol * ids - gds * (vnd - vns) - gm * (vg - vns)
+            quant[..., self._mos_A_pos[:, :4]] = gds[..., None]
+            quant[..., self._mos_A_pos[:, 4:]] = gm[..., None]
             sgn = np.where(swap, 1.0, -1.0)
-            quant[self._mos_b_q[:, 0]] = sgn * residual
-            quant[self._mos_b_q[:, 1]] = (-sgn) * residual
-        if self.diodes:
-            va = self._gather(x, self._di_a)
-            vc = self._gather(x, self._di_c)
-            v = va - vc
-            i, gd = diode_iv_vec(v, di_vt, di_isat)
+            quant[..., self._mos_b_q[:, 0]] = sgn * residual
+            quant[..., self._mos_b_q[:, 1]] = -sgn * residual
+        if nd:
+            v = g[..., 3 * nm:3 * nm + nd] - g[..., 3 * nm + nd:]
+            i, gd = diode_iv_vec(v, di_vt, di_isat, exact=exact)
             ires = i - gd * v
-            quant[self._di_A_pos] = gd[:, None]
-            quant[self._di_b_q[:, 0]] = -ires
-            quant[self._di_b_q[:, 1]] = ires
-        if self.mosfets and swap.any():
-            idx = self._swap_AB_idx(swap.tolist())
-        else:
-            idx = self._AB_idx_norm
-        np.add.at(flat, idx, quant * self._AB_sign)
+            quant[..., self._di_A_pos] = gd[..., None]
+            quant[..., self._di_b_q[:, 0]] = -ires
+            quant[..., self._di_b_q[:, 1]] = ires
+        return quant * self._AB_sign, swap
+
+    def _apply_vec(self, flat: np.ndarray, x: np.ndarray,
+                   temp_c: float) -> None:
+        """Array-pass evaluation (large device counts)."""
+        vals, swap = self._linearize(x, temp_c, exact=True)
+        mask = 0 if swap is None else int.from_bytes(
+            np.packbits(swap, bitorder="little").tobytes(), "little")
+        np.add.at(flat, self._swap_idx_mask(mask), vals)
 
     # ------------------------------------------------------------------
     # multi-lane (batched) evaluation
@@ -805,57 +808,16 @@ class NonlinearPlan:
 
         ``flat2`` is ``(n_lanes, size^2 + size + 2)`` — one combined
         ``[A | scrapA | b | scrapB]`` scratch row per lane — and ``x2``
-        stacks the Newton iterates.  The device math uses numpy's native
-        transcendentals (:func:`_mosfet_curves_lanes`,
-        :func:`_diode_iv_lanes`), which differ from the scalar ``math``
-        calls of the per-lane path in the last ulp; lane results
-        therefore carry a documented fp tolerance instead of the bitwise
-        guarantee (see DESIGN.md section 5d).
+        stacks the Newton iterates.  The device math uses numpy's SIMD
+        transcendentals, which differ from the scalar ``math`` calls of
+        the per-lane path in the last ulp; lane results therefore carry
+        a documented fp tolerance instead of the bitwise guarantee (see
+        DESIGN.md section 5d).
         """
-        beta, nvt, vth, lam, di_isat, di_vt = self._temp_params(temp_c)
-        n_lanes = x2.shape[0]
-        n_A, n_b = self._n_A, self._n_b
-        quant = np.empty((n_lanes, n_A + n_b))
-        swap = None
-        if self.mosfets:
-            pol = self._mos_pol
-            vd = self._gather2(x2, self._mos_d)
-            vg = self._gather2(x2, self._mos_g)
-            vs = self._gather2(x2, self._mos_s)
-            swap = pol * (vd - vs) < 0.0
-            vnd = np.where(swap, vs, vd)
-            vns = np.where(swap, vd, vs)
-            vgs = pol * (vg - vns)
-            vds = pol * (vnd - vns)
-            ids, gm, gds = _mosfet_curves_lanes(beta, nvt, vth, lam,
-                                                vgs, vds)
-            residual = pol * ids - gds * (vnd - vns) - gm * (vg - vns)
-            quant[:, self._mos_A_pos[:, :4]] = gds[:, :, None]
-            quant[:, self._mos_A_pos[:, 4:]] = gm[:, :, None]
-            sgn = np.where(swap, 1.0, -1.0)
-            quant[:, self._mos_b_q[:, 0]] = sgn * residual
-            quant[:, self._mos_b_q[:, 1]] = -sgn * residual
-        if self.diodes:
-            va = self._gather2(x2, self._di_a)
-            vc = self._gather2(x2, self._di_c)
-            v = va - vc
-            i, gd = _diode_iv_lanes(v, di_vt, di_isat)
-            ires = i - gd * v
-            quant[:, self._di_A_pos] = gd[:, :, None]
-            quant[:, self._di_b_q[:, 0]] = -ires
-            quant[:, self._di_b_q[:, 1]] = ires
-        if swap is not None and swap.any():
-            swap_slots = np.zeros((n_lanes, n_A), dtype=bool)
-            swap_slots[:, self._mos_A_pos] = swap[:, :, None]
-            A_idx = np.where(swap_slots, self._A_idx_swap,
-                             self._A_idx_norm)
-            idx = np.concatenate(
-                [A_idx,
-                 np.broadcast_to(self._b_idx_off, (n_lanes, n_b))],
-                axis=1)
-        else:
-            idx = self._AB_idx_norm
-        _scatter_lanes(flat2, idx, quant * self._AB_sign)
+        vals, swap = self._linearize(x2, temp_c, exact=False)
+        idx = (self._swap_idx(swap) if swap is not None and swap.any()
+               else self._AB_idx_norm)
+        _scatter_lanes(flat2, idx, vals)
 
     def residual_lanes(self, x2: np.ndarray,
                        temp_c: float) -> np.ndarray:
@@ -902,10 +864,9 @@ class NonlinearPlan:
             i_slot = np.sign(d) * ids
             parts += [-i_slot, i_slot]
         if self.diodes:
-            va, vc = g[:, 3 * nm:3 * nm + len(self.diodes)], \
-                g[:, 3 * nm + len(self.diodes):]
-            arg = np.minimum((va - vc) / di_vt, _DIODE_EXP_CLAMP)
-            i = di_isat * (np.exp(arg) - 1.0)
+            nd = len(self.diodes)
+            i, _ = diode_iv_vec(g[:, 3 * nm:3 * nm + nd] - g[:, 3 * nm + nd:],
+                                di_vt, di_isat, exact=False)
             parts += [-i, i]
         vals = parts[0] if len(parts) == 1 else \
             np.concatenate(parts, axis=1)
@@ -919,49 +880,11 @@ class NonlinearPlan:
                           minlength=n_lanes * (size + 1))
         return acc.reshape(n_lanes, size + 1)
 
-    @staticmethod
-    def _gather2(x2: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Per-lane gather: ground sentinel ``-1`` reads 0 V."""
-        return np.where(idx >= 0, x2[:, idx], 0.0)
-
-
-def _mosfet_curves_lanes(beta, nvt, vth, lam, vgs, vds):
-    """Numpy-native mirror of :func:`~repro.spice.mosfet
-    .mosfet_curves_vec` for 2-D lane batches.
-
-    Same formulas and clamps; the transcendentals are numpy's SIMD
-    ``exp``/``log1p`` instead of the scalar :mod:`math` calls, so
-    results agree with the per-lane path only to the last ulp (the lane
-    kernel's documented fp tolerance).
-    """
-    vov = vgs - vth
-    u = vov / nvt
-    uc = np.clip(u, -_MOS_EXP_CLAMP, _MOS_EXP_CLAMP)
-    sp = np.where(u > _MOS_EXP_CLAMP, u,
-                  np.where(u < -_MOS_EXP_CLAMP, 0.0,
-                           np.log1p(np.exp(uc))))
-    sg = np.where(u > _MOS_EXP_CLAMP, 1.0,
-                  np.where(u < -_MOS_EXP_CLAMP, 0.0,
-                           1.0 / (1.0 + np.exp(-uc))))
-    veff = nvt * sp
-    clm = 1.0 + lam * vds
-    tri = vds < veff
-    ids_tri = beta * (veff - 0.5 * vds) * vds * clm
-    gm_tri = beta * vds * clm * sg
-    gds_tri = beta * ((veff - vds) * clm + (veff - 0.5 * vds) * vds * lam)
-    half_beta_veff2 = 0.5 * beta * veff * veff
-    ids_sat = half_beta_veff2 * clm
-    gm_sat = beta * veff * clm * sg
-    gds_sat = half_beta_veff2 * lam
-    ids = np.where(tri, ids_tri, ids_sat)
-    gm = np.where(tri, gm_tri, gm_sat)
-    gds = np.where(tri, gds_tri, gds_sat)
-    return ids, gm, gds
-
 
 def _mosfet_ids_lanes(beta, nvt, vth, lam, vgs, vds):
-    """Drain current only — the cheap core of
-    :func:`_mosfet_curves_lanes` for chord (residual) iterations.
+    """Drain current only — the cheap core of the SIMD-mode
+    :func:`~repro.spice.mosfet.mosfet_curves_vec` for chord (residual)
+    iterations.
 
     Uses the exact branch-free softplus ``max(u, 0) + log1p(exp(-|u|))``
     instead of the clamp-and-select of the curve kernel: same value to
@@ -975,16 +898,6 @@ def _mosfet_ids_lanes(beta, nvt, vth, lam, vgs, vds):
     return np.where(vds < veff,
                     beta * (veff - 0.5 * vds) * vds * clm,
                     0.5 * beta * veff * veff * clm)
-
-
-def _diode_iv_lanes(v, vt, isat):
-    """Numpy-native mirror of :func:`~repro.spice.devices.diode_iv_vec`
-    for 2-D lane batches (same clamp, numpy ``exp``)."""
-    arg = np.minimum(v / vt, _DIODE_EXP_CLAMP)
-    e = np.exp(arg)
-    i = isat * (e - 1.0)
-    gd = isat * e / vt
-    return i, gd
 
 
 def compile_dynamic(devices, size: int) -> DynamicPlan | None:

@@ -101,10 +101,10 @@ def newton_solve(system: System, A_step: np.ndarray, b_step: np.ndarray,
     :func:`~repro.spice.linalg.solve_dense_nocheck` (bitwise-identical
     to ``np.linalg.solve``, minus its wrapper overhead).  The caller
     must hold :func:`~repro.spice.linalg.dense_errstate` so singular
-    matrices raise instead of silently returning NaNs.  The kernel
-    transient loop enables it (holding the errstate around its whole
-    step loop); the legacy loop keeps the exact pre-kernel call so
-    benchmarks measure the unmodified baseline.
+    matrices raise instead of silently returning NaNs.  The transient
+    step loop enables it (holding the errstate around its whole step
+    loop); the default keeps the exact ``np.linalg.solve`` call, which
+    the per-device parity oracle of the tests relies on.
 
     ``backend`` — a resolved :class:`~repro.spice.backends.SolverBackend`
     to route linear solves through, or ``None`` for the pre-backend

@@ -15,18 +15,18 @@ voltages (default 0 V) and integration starts immediately — no DC operating
 point is computed first.  The DRAM runner exploits this to chain operation
 cycles, feeding each cycle's final state into the next.
 
-Two step loops implement the same strategy:
-
-* the **kernel fast path** (default) — compiled stamp plans, a per-``dt``
-  step-matrix cache, a cursor walk of the grid with a bounded bisection
-  stack, preallocated result buffers, and (for linear circuits) cached LU
-  factorizations.  For circuits built from the standard device classes it
-  is bitwise-identical to the legacy loop, except that linear circuits
-  are solved through the factorization cache (same result to machine
-  precision).
-* the **legacy per-device loop** (``use_kernels=False``) — the original
-  reference implementation, kept as the parity baseline for tests and
-  benchmarks.
+One step loop implements the strategy: a cursor walk of the grid with a
+bounded bisection stack and preallocated result buffers, over the
+compiled stamp plans of :mod:`repro.spice.plans` with a per-``dt``
+step-matrix cache and (for linear circuits) cached LU factorizations.
+A step layer the plan compiler cannot record (a custom dynamic or source
+device) is assembled per step by :meth:`System.build_step` instead,
+without the factorization cache or a sparse backend.  For circuits
+built from the standard device classes the results are bitwise those
+of the original per-device loop (kept as the parity oracle in
+``tests/spice/transient_oracle.py``), except that linear circuits are
+solved through the factorization cache (same result to machine
+precision).
 """
 
 from __future__ import annotations
@@ -44,29 +44,6 @@ from repro.spice.netlist import AnalysisContext, Circuit
 from repro.spice.solver import gmin_step_solve, newton_solve
 from repro.spice.waveforms import merge_breakpoints
 
-#: Process-wide default for the kernel fast path (see set_kernels_default).
-_KERNELS_DEFAULT = True
-
-
-def set_kernels_default(enabled: bool) -> bool:
-    """Flip the process-wide default for the transient kernel fast path.
-
-    Returns the previous value.  Benchmarks use this to measure the
-    legacy per-device loop without threading a flag through every layer;
-    it is also the escape hatch if a custom device class interacts badly
-    with the compiled plans.
-    """
-    global _KERNELS_DEFAULT
-    previous = _KERNELS_DEFAULT
-    _KERNELS_DEFAULT = bool(enabled)
-    return previous
-
-
-def kernels_enabled() -> bool:
-    """Current process-wide default for the kernel fast path."""
-    return _KERNELS_DEFAULT
-
-
 #: Process-wide default lane width for batched sweeps (0 = lanes off).
 _LANES_DEFAULT = 0
 
@@ -75,7 +52,7 @@ def set_lanes_default(width: int) -> int:
     """Set the process-wide default lane width for batched Rop sweeps.
 
     ``0`` (the default) keeps every sweep on the per-lane legacy path —
-    the parity baseline, mirroring the ``use_kernels`` convention.
+    the parity baseline.
     ``width >= 2`` lets the batch executor group same-topology sweep
     points into multi-lane transients of at most ``width`` lanes (see
     :mod:`repro.spice.lanes`).  Returns the previous value.
@@ -183,7 +160,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
               initial: dict[str, float] | None = None,
               gmin: float = DEFAULT_GMIN,
               max_step_halvings: int = 14,
-              use_kernels: bool | None = None,
               newton: str = "full",
               system: System | None = None,
               backend: str | None = None) -> TransientResult:
@@ -209,10 +185,6 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
     max_step_halvings:
         How many times a non-converging step may be bisected before the
         analysis gives up.
-    use_kernels:
-        ``True``/``False`` selects the kernel fast path or the legacy
-        per-device loop; ``None`` (default) follows the process-wide
-        default (:func:`set_kernels_default`).
     newton:
         ``"full"`` (default) refactors the Jacobian every iteration;
         ``"modified"`` reuses the last LU while convergence is geometric
@@ -222,7 +194,7 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         A prebuilt :class:`System` for ``circuit`` to reuse across calls
         (the DRAM runner chains cycles over one system, keeping its
         step-matrix and factorization caches warm).  Ignored when it does
-        not match ``circuit``/``gmin`` or when the legacy loop is chosen.
+        not match ``circuit``/``gmin`` or was built without plans.
         Callers that mutate device *values* in place must drop their
         cached system (the compiled plans would go stale).
     backend:
@@ -231,8 +203,7 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         (default) follows the process-wide default
         (:func:`repro.spice.backends.set_backend_default`).  A dense
         resolution keeps the bitwise-identical dense path; the sparse
-        backend only engages on the kernel fast path (the legacy loop is
-        the dense parity baseline).
+        backend only engages when the step layer is plan-compiled.
     """
     if tstop <= 0 or dt <= 0:
         raise SpiceError("tstop and dt must be positive")
@@ -240,16 +211,10 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
         raise SpiceError(f"unknown integration method {method!r}")
     if newton not in ("full", "modified"):
         raise SpiceError(f"unknown newton mode {newton!r}")
-    if use_kernels is None:
-        use_kernels = _KERNELS_DEFAULT
-
-    if use_kernels:
-        if (system is None or system.circuit is not circuit
-                or system.gmin != gmin or system.plans is None
-                or not circuit._finalized):
-            system = System(circuit, gmin=gmin, use_plans=True)
-    else:
-        system = System(circuit, gmin=gmin, use_plans=False)
+    if (system is None or system.circuit is not circuit
+            or system.gmin != gmin or system.plans is None
+            or not circuit._finalized):
+        system = System(circuit, gmin=gmin)
 
     node_names = circuit.node_names
     num_nodes = circuit.num_nodes
@@ -267,34 +232,30 @@ def transient(circuit: Circuit, tstop: float, dt: float, *,
     grid = _build_grid(tstop, dt, system.source_waveforms())
     dt_floor = dt / (2 ** max_step_halvings)
 
-    fast = (use_kernels and system._step_plannable)
-    if fast:
-        # Resolve the solver backend for this system.  Dense resolutions
-        # hand the loop ``None`` so every pre-backend dense branch runs
-        # untouched (the bitwise-parity guarantee); only a sparse
-        # resolution threads a backend object into the solves.
+    backend_obj = None
+    if system._step_plannable:
+        # Dense resolutions hand the loop ``None`` so every pre-backend
+        # dense branch runs untouched (the bitwise-parity guarantee);
+        # only a sparse resolution threads a backend into the solves.
         resolved = resolve_backend(backend, system)
         backend_obj = resolved if resolved.sparse else None
-        result = _run_kernel_loop(system, circuit, grid, x, dt_floor,
-                                  temp_c, method, node_names, num_nodes,
-                                  newton, backend_obj)
-    else:
-        result = _run_legacy_loop(system, grid, x, dt_floor, temp_c,
-                                  method, node_names, num_nodes)
+    result = _run_kernel_loop(system, grid, x, dt_floor, temp_c, method,
+                              node_names, num_nodes, newton, backend_obj)
     system.flush_kernel_counters()
     return result
 
 
-def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
-                     x: np.ndarray, dt_floor: float, temp_c: float,
-                     method: str, node_names: list[str], num_nodes: int,
-                     newton: str, backend=None) -> TransientResult:
-    """Kernel fast path: cursor grid walk + bounded bisection stack.
+def _run_kernel_loop(system: System, grid: list[float], x: np.ndarray,
+                     dt_floor: float, temp_c: float, method: str,
+                     node_names: list[str], num_nodes: int, newton: str,
+                     backend=None) -> TransientResult:
+    """The step loop: cursor grid walk + bounded bisection stack.
 
-    The bisection stack replaces the legacy ``pending.insert(0)/pop(0)``
-    list queue (O(n) per operation on the full grid): the grid is walked
-    with an index cursor and only bisection midpoints are pushed onto a
-    stack whose depth is bounded by ``max_step_halvings``.
+    The grid is walked with an index cursor and only bisection midpoints
+    are pushed onto a stack whose depth is bounded by
+    ``max_step_halvings`` — the same time points, in the same order, as
+    the original ``pending.insert(0)/pop(0)`` queue (O(n) per operation
+    on the full grid).
     """
     n_grid = len(grid)
     capacity = n_grid + 8
@@ -306,7 +267,8 @@ def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
     rescues: list[RescueEvent] = []
 
     modified = newton == "modified"
-    linear = not system.has_nonlinear
+    planned = system._step_plannable
+    linear = planned and not system.has_nonlinear
     ctx = AnalysisContext(time=0.0, dt=None, temp_c=temp_c, x=x,
                           x_prev=x, method=method)
     prof = profiler if profiler.enabled else None
@@ -317,14 +279,14 @@ def _run_kernel_loop(system: System, circuit: Circuit, grid: list[float],
     # that go through np.linalg.solve stack their own errstate on top.
     with dense_errstate():
         return _step_kernel_loop(system, grid, x, dt_floor, ctx, method,
-                                 node_names, num_nodes, modified, linear,
-                                 prof, times, data, capacity, count,
+                                 node_names, num_nodes, modified, planned,
+                                 linear, prof, times, data, capacity, count,
                                  rescues, backend)
 
 
 def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
-                      num_nodes, modified, linear, prof, times, data,
-                      capacity, count, rescues, backend=None):
+                      num_nodes, modified, planned, linear, prof, times,
+                      data, capacity, count, rescues, backend=None):
     """The kernel step loop proper (see :func:`_run_kernel_loop`)."""
     n_grid = len(grid)
     t = 0.0
@@ -344,8 +306,11 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         ctx.x_prev = x
         if prof:
             _t0 = _time.perf_counter()
-        A_step = system.step_matrix(dt_step, method)
-        b_step = system.step_rhs(ctx)
+        if planned:
+            A_step = system.step_matrix(dt_step, method)
+            b_step = system.step_rhs(ctx)
+        else:
+            A_step, b_step = system.build_step(ctx)
         fact = (system.step_factorization(dt_step, method, backend)
                 if linear else None)
         if prof:
@@ -398,53 +363,6 @@ def _step_kernel_loop(system, grid, x, dt_floor, ctx, method, node_names,
         count += 1
 
     return TransientResult(times[:count].copy(), data[:count].copy(),
-                           node_names, x, rescues=rescues)
-
-
-def _run_legacy_loop(system: System, grid: list[float], x: np.ndarray,
-                     dt_floor: float, temp_c: float, method: str,
-                     node_names: list[str], num_nodes: int
-                     ) -> TransientResult:
-    """The original per-device step loop (parity baseline)."""
-    times = [0.0]
-    rows = [x[:num_nodes].copy()]
-    rescues: list[RescueEvent] = []
-
-    t = 0.0
-    pending = list(grid[1:])
-    while pending:
-        t_target = pending[0]
-        dt_step = t_target - t
-        ctx = AnalysisContext(time=t_target, dt=dt_step, temp_c=temp_c,
-                              x=x, x_prev=x, method=method)
-        A_step, b_step = system.build_step(ctx)
-        try:
-            x_new = newton_solve(system, A_step, b_step, ctx, x)
-        except ConvergenceError as exc:
-            if dt_step / 2 >= dt_floor:
-                pending.insert(0, t + dt_step / 2)
-                continue
-            try:
-                x_new = gmin_step_solve(system, A_step, b_step, ctx, x)
-            except ConvergenceError as gmin_exc:
-                nodes = gmin_exc.nodes or exc.nodes
-                raise ConvergenceError(
-                    f"transient stalled at t={t:.4g}s: step below floor "
-                    f"{dt_floor:.3g}s still fails to converge even with "
-                    f"a Gmin ramp (moving nodes: "
-                    f"{', '.join(nodes) or '-'})",
-                    time=t, iterations=gmin_exc.iterations, nodes=nodes,
-                    rescue_trail=("bisect", "gmin")) from None
-            rescues.append(RescueEvent(t_target, "gmin"))
-            _record_rescue("gmin")
-        system.accept_step(x, x_new, dt_step, method)
-        x = x_new
-        t = t_target
-        pending.pop(0)
-        times.append(t)
-        rows.append(x[:num_nodes].copy())
-
-    return TransientResult(np.asarray(times), np.asarray(rows),
                            node_names, x, rescues=rescues)
 
 

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.spice.devices import (
     Capacitor,
@@ -11,6 +12,7 @@ from repro.spice.devices import (
     Diode,
     Resistor,
     VoltageSource,
+    diode_iv_vec,
     thermal_voltage,
 )
 from repro.spice.errors import NetlistError
@@ -126,6 +128,16 @@ class TestDiode:
         with pytest.raises(NetlistError):
             Diode("D", c.node("a"), c.node("0"), isat=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("isat", math.nan), ("isat", -1e-14), ("emission", 0.0),
+        ("emission", -1.0), ("emission", math.nan),
+        ("isat_tdouble", 0.0), ("isat_tdouble", math.nan),
+        ("temp_nom_c", math.nan), ("temp_nom_c", math.inf)])
+    def test_rejects_nan_and_out_of_range_parameters(self, field, value):
+        c = Circuit()
+        with pytest.raises(NetlistError, match=field):
+            Diode("D", c.node("a"), c.node("0"), **{field: value})
+
     def test_dc_forward_drop(self):
         c = Circuit()
         c.add(VoltageSource("V", c.node("in"), c.node("0"), Constant(2.0)))
@@ -133,6 +145,70 @@ class TestDiode:
         c.add(Diode("D", c.node("a"), c.node("0"), isat=1e-14))
         op = dc_operating_point(c)
         assert 0.5 < op["a"] < 0.8    # a silicon-ish forward drop
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _diode_batches(draw):
+    """Diodes (emission, isat, temperature) and ``(lanes, devices)``
+    junction voltages, including the exp clamp edge, ``v`` near 0 and
+    NaN."""
+    n_lanes, n_dev = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    c = Circuit()
+    temp_c = draw(st.floats(-50.0, 150.0))
+    diodes = [Diode(f"D{j}", c.node("a"), c.node("0"),
+                    isat=draw(st.floats(1e-18, 1e-9)),
+                    emission=draw(st.floats(0.8, 2.0)))
+              for j in range(n_dev)]
+    vt = np.array([d.emission * thermal_voltage(temp_c) for d in diodes])
+    v = np.empty((n_lanes, n_dev))
+    for k in range(n_lanes):
+        for j in range(n_dev):
+            edge = 80.0 * vt[j]
+            v[k, j] = draw(st.floats(-5.0, 5.0)
+                           | st.floats(-1e-6, 1e-6)
+                           | st.sampled_from(
+                               [edge, math.nextafter(edge, math.inf),
+                                math.nextafter(edge, 0.0), 0.0,
+                                math.nan]))
+    return diodes, temp_c, v
+
+
+class TestDiodeArrayModes:
+    """The one array diode function in its two transcendental modes."""
+
+    @given(_diode_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_mode_is_scalar_iv_bitwise(self, batch):
+        diodes, temp_c, v = batch
+        vt = np.array([d.emission * thermal_voltage(temp_c) for d in diodes])
+        isat = np.array([d.isat_at(temp_c) for d in diodes])
+        got = diode_iv_vec(v, vt, isat)
+        for k, j in np.ndindex(v.shape):
+            want = diodes[j].iv(v[k, j], temp_c)
+            assert [float(g[k, j]).hex() for g in got] \
+                == [w.hex() for w in want]
+
+    @given(_diode_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_simd_mode_matches_exact_mode(self, batch):
+        """Same NaNs, values to 1e-12; ``i = isat (e - 1)`` cancels near
+        ``v = 0``, so it also gets a few-ulp floor of ``isat * e``."""
+        diodes, temp_c, v = batch
+        vt = np.array([d.emission * thermal_voltage(temp_c) for d in diodes])
+        isat = np.array([d.isat_at(temp_c) for d in diodes])
+        exact = diode_iv_vec(v, vt, isat)
+        simd = diode_iv_vec(v, vt, isat, exact=False)
+        e = exact[1] * vt / isat
+        floor = 8 * _EPS * isat * np.abs(e)
+        for name, a, b in zip(("i", "gd"), exact, simd):
+            assert np.array_equal(np.isnan(a), np.isnan(b)), name
+            ok = ~np.isnan(a)
+            atol = floor[ok] if name == "i" else 0.0
+            assert np.all(np.abs(b[ok] - a[ok])
+                          <= 1e-12 * np.abs(a[ok]) + atol), name
 
 
 class TestThermalVoltage:

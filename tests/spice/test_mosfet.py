@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.spice.errors import NetlistError
 from repro.spice.mosfet import (
@@ -12,6 +12,7 @@ from repro.spice.mosfet import (
     MosfetParams,
     NMOS_DEFAULT,
     PMOS_DEFAULT,
+    _softplus_sigmoid,
     level1_curves,
     mosfet_curves,
     mosfet_curves_vec,
@@ -41,6 +42,24 @@ class TestParams:
     def test_rejects_nonpositive_kp(self):
         with pytest.raises(NetlistError):
             MosfetParams(kp=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kp", math.nan), ("kp", -1e-6), ("vth0", math.nan),
+        ("vth0", 0.0), ("n_ss", math.nan), ("n_ss", 0.5),
+        ("lam", math.nan), ("lam", math.inf), ("mu_exp", math.nan),
+        ("vth_tc", -math.inf), ("temp_nom_c", math.nan)])
+    def test_rejects_nan_and_out_of_range_fields(self, field, value):
+        with pytest.raises(NetlistError, match=field):
+            MosfetParams(**{field: value})
+        with pytest.raises(NetlistError):
+            NMOS_DEFAULT.with_(**{field: value})
+
+    @pytest.mark.parametrize("w, l", [
+        (math.nan, 0.25e-6), (1e-6, math.nan), (0.0, 0.25e-6),
+        (1e-6, -0.25e-6)])
+    def test_mosfet_rejects_bad_geometry(self, w, l):
+        with pytest.raises(NetlistError):
+            _nmos(w=w, l=l)
 
     def test_kp_falls_with_temperature(self):
         p = NMOS_DEFAULT
@@ -149,6 +168,90 @@ class TestLevel1Core:
         for i, row in enumerate(rows):
             assert [float(v[i]).hex() for v in vec] \
                 == [x.hex() for x in level1_curves(*row)]
+
+
+_EPS = np.finfo(float).eps
+_NVT_EDGE = 2.0 ** -5   # u = vgs / nvt is exact for this nvt and vth = 0
+#: Softplus argument edges: the clamp at +-60, one ulp either side, NaN.
+_U_EDGES = (60.0, -60.0, math.nextafter(60.0, math.inf),
+            math.nextafter(-60.0, -math.inf), math.nextafter(60.0, 0.0),
+            math.nextafter(-60.0, 0.0), math.nan)
+
+
+@st.composite
+def _lane_batches(draw):
+    """Per-device ``(beta, nvt, vth, lam)`` and ``(lanes, devices)``
+    ``vgs``/``vds``; edge devices put ``u`` exactly on the clamp edges."""
+    n_lanes, n_dev = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cols, edge = [], []
+    for _ in range(n_dev):
+        beta = draw(st.floats(1e-6, 1e-2))
+        lam = draw(st.floats(0.0, 0.2))
+        edge.append(draw(st.booleans()))
+        if edge[-1]:
+            cols.append((beta, _NVT_EDGE, 0.0, lam))
+        else:
+            cols.append((beta, draw(st.floats(0.02, 0.1)),
+                         draw(st.floats(0.05, 1.0)), lam))
+    vgs = np.empty((n_lanes, n_dev))
+    vds = np.empty((n_lanes, n_dev))
+    for k in range(n_lanes):
+        for j in range(n_dev):
+            if edge[j]:
+                u = draw(st.sampled_from(_U_EDGES) | st.floats(-100, 100))
+                vgs[k, j] = u * _NVT_EDGE
+            else:
+                vgs[k, j] = draw(st.floats(-5.0, 5.0) | st.just(math.nan))
+            vds[k, j] = draw(st.floats(0.0, 5.0))
+    beta, nvt, vth, lam = (np.array(c) for c in zip(*cols))
+    return beta, nvt, vth, lam, vgs, vds
+
+
+class TestArrayModes:
+    """The one array MOSFET function in its two transcendental modes."""
+
+    @given(_lane_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_mode_is_scalar_core_bitwise(self, batch):
+        beta, nvt, vth, lam, vgs, vds = batch
+        got = mosfet_curves_vec(beta, nvt, vth, lam, vgs, vds)
+        for k, j in np.ndindex(vgs.shape):
+            want = level1_curves(beta[j], nvt[j], vth[j], lam[j],
+                                 vgs[k, j], vds[k, j])
+            assert [float(g[k, j]).hex() for g in got] \
+                == [w.hex() for w in want]
+
+    @given(_lane_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_simd_mode_matches_exact_mode(self, batch):
+        """Same clamps, same branches, same NaNs, values to 1e-12.
+
+        ``gds`` in triode subtracts ``vds`` from ``veff``; near
+        ``vds == veff`` a last-ulp ``veff`` difference is all that is
+        left, so ``gds`` also gets a few-ulp floor of the
+        ``beta * veff * clm`` term.
+        """
+        beta, nvt, vth, lam, vgs, vds = batch
+        exact = mosfet_curves_vec(beta, nvt, vth, lam, vgs, vds)
+        simd = mosfet_curves_vec(beta, nvt, vth, lam, vgs, vds,
+                                 exact=False)
+        u = (vgs - vth) / nvt
+        sp_e, sg_e = _softplus_sigmoid(u, True)
+        sp_s, sg_s = _softplus_sigmoid(u, False)
+        clamped = np.abs(u) > 60.0
+        assert np.array_equal(sp_e[clamped], sp_s[clamped])
+        assert np.array_equal(sg_e[clamped], sg_s[clamped])
+        veff = nvt * sp_e
+        tie = np.abs(vds - veff) <= 8 * _EPS * np.abs(veff)
+        assert np.array_equal((vds < veff)[~tie],
+                              (vds < nvt * sp_s)[~tie])
+        floor = 8 * _EPS * beta * np.abs(veff) * (1.0 + lam * vds)
+        for name, e, s in zip(("ids", "gm", "gds"), exact, simd):
+            assert np.array_equal(np.isnan(e), np.isnan(s)), name
+            ok = ~np.isnan(e)
+            atol = floor[ok] if name == "gds" else 0.0
+            assert np.all(np.abs(s[ok] - e[ok])
+                          <= 1e-12 * np.abs(e[ok]) + atol), name
 
 
 class TestSymmetryAndPolarity:

@@ -22,6 +22,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.errors import ConvergenceError
+from tests.spice import transient_oracle as oracle
 
 # The package re-exports the transient() function under the same name as
 # its module; resolve the module itself for monkeypatching.
@@ -217,28 +218,28 @@ def _compare(res_a, res_b, *, bitwise):
 
 
 class TestKernelParity:
-    """Kernel fast path vs the legacy per-device loop."""
+    """The compiled step loop vs the per-device oracle loop."""
 
     def test_nonlinear_transient_is_bitwise_identical(self):
         kw = dict(tstop=12e-9, dt=0.1e-9,
                   initial={"o": 2.4, "vdd": 2.4})
-        fast = transient(_inverter(), use_kernels=True, **kw)
-        legacy = transient(_inverter(), use_kernels=False, **kw)
+        fast = transient(_inverter(), **kw)
+        legacy = oracle.transient(_inverter(), **kw)
         _compare(fast, legacy, bitwise=True)
 
     def test_trap_method_is_bitwise_identical(self):
         kw = dict(tstop=6e-9, dt=0.1e-9, method="trap",
                   initial={"o": 2.4, "vdd": 2.4})
-        fast = transient(_inverter(), use_kernels=True, **kw)
-        legacy = transient(_inverter(), use_kernels=False, **kw)
+        fast = transient(_inverter(), **kw)
+        legacy = oracle.transient(_inverter(), **kw)
         _compare(fast, legacy, bitwise=True)
 
     def test_linear_transient_matches_to_machine_precision(self):
         # Linear circuits route through the cached LU inverse on the
         # kernel path — same result to machine precision, not bitwise.
         kw = dict(tstop=2e-6, dt=1e-8)
-        fast = transient(_rc(), use_kernels=True, **kw)
-        legacy = transient(_rc(), use_kernels=False, **kw)
+        fast = transient(_rc(), **kw)
+        legacy = oracle.transient(_rc(), **kw)
         _compare(fast, legacy, bitwise=False)
 
     def test_bisection_walk_is_bitwise_identical(self, monkeypatch):
@@ -259,17 +260,67 @@ class TestKernelParity:
 
         monkeypatch.setattr(transient_module, "newton_solve", flaky)
         kw = dict(tstop=4e-9, dt=1e-9, initial={"o": 2.4, "vdd": 2.4})
-        fast = transient(_inverter(), use_kernels=True, **kw)
-        legacy = transient(_inverter(), use_kernels=False, **kw)
+        fast = transient(_inverter(), **kw)
+        legacy = oracle.transient(_inverter(), **kw)
         assert len(fast) > 6  # bisection actually added time points
         _compare(fast, legacy, bitwise=True)
+
+    @pytest.mark.parametrize("method", ["be", "trap"])
+    def test_array_pass_transient_is_bitwise_identical(self, method):
+        """The exact array pass (>= VEC_CROSSOVER devices) in a real run.
+
+        An untrimmed 6x6 array has 78 nonlinear devices, so the plan
+        linearizes them with the array kernel rather than the fused
+        scalar loop, and its system resolves to the dense backend.
+        """
+        from repro.dram.array import build_array
+        from repro.spice.mna import System
+        from repro.spice.plans import VEC_CROSSOVER
+
+        def netlist():
+            net = build_array(6, 6)
+            net.set_waveforms(net.activation_waveforms(0))
+            return net.circuit
+
+        circuit = netlist()
+        system = System(circuit)
+        nl = system.plans.nonlinear
+        assert len(nl.mosfets) + len(nl.diodes) >= VEC_CROSSOVER
+        assert nl._use_vec
+        kw = dict(tstop=20e-9, dt=0.2e-9, method=method)
+        fast = transient(circuit, system=system, backend="auto", **kw)
+        _compare(fast, oracle.transient(netlist(), **kw), bitwise=True)
+
+    def test_unplannable_step_layer_matches_oracle(self):
+        """A source the plan compiler cannot record sends the step layer
+        through ``System.build_step``; the one loop still reproduces the
+        per-device oracle bit for bit."""
+        from repro.spice.mna import System
+        from repro.spice.netlist import Device
+
+        class Bleed(Device):
+            """A 1 uA current sink the source plan does not know."""
+
+            def stamp_source(self, st):
+                st.current(self.node_list[0], self.node_list[1], 1e-6)
+
+        def circuit():
+            c = _inverter()
+            c.add(Bleed("IB", (c.node("o"), c.node("0"))))
+            return c
+
+        c = circuit()
+        system = System(c)
+        assert not system._step_plannable
+        kw = dict(tstop=12e-9, dt=0.1e-9, initial={"o": 2.4, "vdd": 2.4})
+        _compare(transient(c, system=system, **kw),
+                 oracle.transient(circuit(), **kw), bitwise=True)
 
     def test_modified_newton_converges_to_same_waveform(self):
         kw = dict(tstop=12e-9, dt=0.1e-9,
                   initial={"o": 2.4, "vdd": 2.4})
-        full = transient(_inverter(), use_kernels=True, **kw)
-        modified = transient(_inverter(), use_kernels=True,
-                             newton="modified", **kw)
+        full = transient(_inverter(), **kw)
+        modified = transient(_inverter(), newton="modified", **kw)
         # Same grid; iterates agree to the Newton voltage tolerance
         # (modified Newton stops at the same vtol, not the same bits).
         assert np.array_equal(full.time, modified.time)
@@ -281,24 +332,13 @@ class TestKernelParity:
         from repro.diagnostics import reset_diagnostics
         diag = reset_diagnostics()
         # Cover the input transition so steps take multiple iterations.
-        transient(_inverter(), tstop=6e-9, dt=0.1e-9,
-                  use_kernels=True, newton="modified",
+        transient(_inverter(), tstop=6e-9, dt=0.1e-9, newton="modified",
                   initial={"o": 2.4, "vdd": 2.4})
         assert diag.solver_kernels.get("newton_jacobian_reuse", 0) > 0
 
     def test_rejects_unknown_newton_mode(self):
         with pytest.raises(SpiceError):
             transient(_rc(), 1e-6, 1e-9, newton="chord")
-
-    def test_kernel_default_toggle_roundtrip(self):
-        from repro.spice.transient import (kernels_enabled,
-                                           set_kernels_default)
-        prev = set_kernels_default(False)
-        try:
-            assert kernels_enabled() is False
-        finally:
-            set_kernels_default(prev)
-        assert kernels_enabled() is prev
 
     def test_prebuilt_system_is_reused(self):
         from repro.spice.mna import System
