@@ -49,6 +49,7 @@ from repro.experiments.figures import (  # noqa: E402
 )
 from repro.analysis.interface import electrical_model  # noqa: E402
 from repro.dram import runner  # noqa: E402
+from repro.spice import devkernel  # noqa: E402
 from tests.spice.transient_oracle import (  # noqa: E402
     transient as oracle_transient,
 )
@@ -124,6 +125,7 @@ def run_benchmark(quick: bool = False) -> dict:
         "rounds": rounds,
         "points": points,
         "bitwise": bitwise,
+        "device_kernel": devkernel.describe(),
         "cycles_fast_s": fast_s,
         "cycles_legacy_s": legacy_s,
         "cycles_speedup": legacy_s / fast_s,
@@ -141,6 +143,7 @@ def render(res: dict) -> str:
         f"{platform.python_version()} / numpy {np.__version__}",
         f"timing: best of {res['rounds']} cold runs "
         f"(fresh model + compiled system each)",
+        f"Newton device kernel: {res['device_kernel']}",
         "",
         f"{CYCLE_OPS!r} cycle sequence (electrical, reference cell open)",
         f"  before (legacy per-device loop) : "

@@ -110,6 +110,12 @@ def _report_engine(args) -> None:
                   + ", ".join(f"{k} x{n}"
                               for k, n in sorted(kernels.items())),
                   file=sys.stderr)
+        # Only a run that linearized devices in this process resolved a
+        # device kernel; never import (let alone build) it here.
+        devkernel = sys.modules.get("repro.spice.devkernel")
+        if devkernel is not None and devkernel.describe():
+            print(f"device kernel: {devkernel.describe(path=True)}",
+                  file=sys.stderr)
         lanes = diagnostics().lane_counters
         if lanes:
             print("lane kernel: "
@@ -216,11 +222,29 @@ def _cmd_array(args) -> int:
     return 0
 
 
+def _bounded(kind, least: float, strict: bool = False):
+    """An argparse ``type`` that parses ``kind`` and rejects values below
+    ``least`` (or equal to it when ``strict``) as a usage error."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value > least if strict else value >= least):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {least}, got {text}")
+        return value
+    return parse
+
+
 def _add_engine_options(p: argparse.ArgumentParser) -> None:
     from repro.diagnostics import LOG_LEVELS
-    p.add_argument("--workers", type=int, default=1, metavar="N",
+    p.add_argument("--workers", type=_bounded(int, 1), default=1,
+                   metavar="N",
                    help="worker processes for simulation fan-out")
-    p.add_argument("--lanes", type=int, default=None, metavar="N",
+    p.add_argument("--lanes", type=_bounded(int, 0), default=None,
+                   metavar="N",
                    help="stack up to N same-topology sweep points "
                         "(column or array, dense or sparse as the "
                         "backend resolves) into one batched multi-lane "
@@ -269,10 +293,12 @@ def _add_engine_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--isolate", action="store_true",
                    help="keep going past failed simulations; report "
                         "them as holes instead of aborting")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_bounded(float, 0.0, strict=True),
+                   default=None, metavar="S",
                    help="per-simulation wall-clock bound in seconds "
                         "(parallel runs only)")
-    p.add_argument("--max-retries", type=int, default=2, metavar="N",
+    p.add_argument("--max-retries", type=_bounded(int, 0), default=2,
+                   metavar="N",
                    help="pool re-drives for items hit by a worker "
                         "crash before running them serially")
     p.add_argument("--log-level", choices=sorted(LOG_LEVELS),
@@ -303,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stressed", action="store_true",
                    help="use the Fig. 6 stress combination")
     p.add_argument("--electrical", action="store_true")
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=_bounded(int, 2), default=8)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_planes)
 
@@ -312,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_shmoo)
 
     p = sub.add_parser("coverage", help="Sec. 5.2 march coverage")
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=_bounded(int, 2), default=10)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_coverage)
 

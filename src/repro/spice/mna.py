@@ -249,10 +249,13 @@ class System:
             np.copyto(b, b_step)
             sc[self._n2] = 0.0
             sc[-1] = 0.0
-            nl.apply(sc, ctx.x, ctx.temp_c)
+            served = ("device_kernel_compiled"
+                      if nl.apply(sc, ctx.x, ctx.temp_c)
+                      else "device_kernel_numpy")
             kc = self.kernel_counters
             kc["plan_iteration_assembly"] = \
                 kc.get("plan_iteration_assembly", 0) + 1
+            kc[served] = kc.get(served, 0) + 1
         else:
             A = A_step.copy()
             b = b_step.copy()

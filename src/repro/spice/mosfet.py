@@ -280,13 +280,14 @@ class Mosfet(Device):
         vd = st.v(self.drain)
         vg = st.v(self.gate)
         vs = st.v(self.source)
-        # Effective drain = terminal at higher potential in the NMOS frame.
-        if pol * (vd - vs) >= 0.0:
-            nd, ns = self.drain, self.source
-            vnd, vns = vd, vs
-        else:
+        # Effective drain = terminal at higher potential in the NMOS frame
+        # (a NaN iterate keeps the netlist orientation, as in the plans).
+        if pol * (vd - vs) < 0.0:
             nd, ns = self.source, self.drain
             vnd, vns = vs, vd
+        else:
+            nd, ns = self.drain, self.source
+            vnd, vns = vd, vs
         vgs = pol * (vg - vns)
         vds = pol * (vnd - vns)
         ids, gm, gds = self._eval(vgs, vds, st.ctx.temp_c)

@@ -18,10 +18,12 @@ and the plans are built for it:
   redirected to a scrap slot past the end of the flattened system
   instead of changing the slot structure;
 * the transcendental core of the device models (``exp``, ``log1p``) is
-  evaluated with the same scalar :mod:`math` calls as the per-device
-  path (the *exact* mode of the array device functions; numpy's SIMD
+  evaluated with the same libm functions as the per-device path's
+  :mod:`math` calls — in the compiled Newton device pass
+  (``_devkernel.c``, no fused multiply-adds) or in the *exact* mode of
+  the array device functions, its fallback; numpy's SIMD
   transcendentals differ in the last ulp and serve only the lane
-  kernels), while all surrounding arithmetic is vectorized.
+  kernels.
 
 A layer that contains a device the compiler does not understand falls
 back to the per-device path wholesale — partial compilation would break
@@ -30,11 +32,8 @@ the accumulation-order guarantee.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.spice.devices import _EXP_CLAMP as _DIODE_EXP_CLAMP
 from repro.spice.devices import (
     Capacitor,
     CurrentSource,
@@ -43,7 +42,6 @@ from repro.spice.devices import (
     diode_iv_vec,
     thermal_voltage,
 )
-from repro.spice.mosfet import _EXP_CLAMP as _MOS_EXP_CLAMP
 from repro.spice.mosfet import Mosfet, mosfet_curves_vec
 
 
@@ -425,9 +423,9 @@ _MOS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
 _DIODE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-#: Device count above which the numpy evaluation path beats the fused
-#: scalar loop (numpy's per-op overhead amortises, the Python loop does
-#: not).  Below it — every DRAM column netlist — the loop wins ~2x.
+#: Capacitor count from which the companion-rhs array pass beats the
+#: scalar list loop (numpy's per-op overhead amortises, the Python loop
+#: does not).  Below it — every DRAM column netlist — the loop wins ~2x.
 VEC_CROSSOVER = 64
 
 
@@ -439,13 +437,14 @@ class NonlinearPlan:
     in original device order.  MOSFET source/drain swaps are handled by
     selecting between two precompiled slot-index variants per device.
 
-    Two bitwise-identical evaluation kernels back :meth:`apply`: an
-    array pass (:func:`~repro.spice.mosfet.mosfet_curves_vec`,
-    :func:`~repro.spice.devices.diode_iv_vec` in exact mode) for large
-    device counts, and a fused scalar loop for small ones, where numpy's
-    fixed per-op overhead dominates the array math (the crossover is
-    :data:`VEC_CROSSOVER`).  The array pass and :meth:`apply_lanes`
-    share one linearization (:meth:`_linearize`) and differ only in the
+    Two bitwise-identical evaluation kernels back :meth:`apply`: the
+    compiled device pass (``_devkernel.c``, built and loaded by
+    :mod:`repro.spice.devkernel` on first use) and, when no compiler or
+    working library is available, the exact numpy array pass
+    (:func:`~repro.spice.mosfet.mosfet_curves_vec`,
+    :func:`~repro.spice.devices.diode_iv_vec` with libm
+    transcendentals).  The array pass and :meth:`apply_lanes` share one
+    linearization (:meth:`_linearize`) and differ only in the
     transcendental mode and the scatter.
     """
 
@@ -468,12 +467,16 @@ class NonlinearPlan:
         di_A_pos = np.empty((n_di, 4), dtype=np.intp)
         di_b_pos = np.empty((n_di, 2), dtype=np.intp)
 
+        # compiled-kernel device table: (kind, terminals) in device order
+        k_dev = []
+
         a_cur = b_cur = 0
         i_mos = i_di = 0
         for dev in devices:
             if type(dev) is Mosfet:
                 d, g, s = (dev.drain.index, dev.gate.index,
                            dev.source.index)
+                k_dev.append((1, d, g, s))
                 sl = slice(a_cur, a_cur + 8)
                 pos = np.arange(a_cur, a_cur + 8)
                 mos_A_pos[i_mos] = pos
@@ -497,6 +500,7 @@ class NonlinearPlan:
                 i_mos += 1
             else:
                 a, c = dev.anode.index, dev.cathode.index
+                k_dev.append((0, a, c, -1))
                 sl = slice(a_cur, a_cur + 4)
                 di_A_pos[i_di] = np.arange(a_cur, a_cur + 4)
                 self._A_idx_norm[sl] = [
@@ -512,6 +516,8 @@ class NonlinearPlan:
                 i_di += 1
 
         self._mos_A_pos = mos_A_pos
+        self._k_dev = np.array(k_dev, dtype=np.int64).reshape(-1, 4)
+        self._k_mos = self._k_dev[:, 0] == 1
         self._mos_b_pos = mos_b_pos
         self._di_A_pos = di_A_pos
         self._di_b_pos = di_b_pos
@@ -548,18 +554,13 @@ class NonlinearPlan:
                               dtype=np.intp)
         self._temp_cache: dict[float, tuple] = {}
 
-        # fused-scalar-loop support (small device counts)
-        self._use_vec = (n_mos + n_di) >= VEC_CROSSOVER
         self._n_A = n_A
         self._n_b = n_b
-        self._loop_cache: dict[float, tuple] = {}
-        # Swap-pattern cache, keyed by an int bitmask (scalar loop) or a
-        # bool tuple (array pass) — the key spaces cannot collide.
+        # Swap-pattern slot indices of the array pass, keyed by bitmask.
         self._swap_idx_cache: dict = {}
-        # Persistent value staging for the scalar loop; every slot is
-        # rewritten on every call, so reuse is safe.
-        self._qa = [0.0] * n_A
-        self._vb = [0.0] * n_b
+        # Compiled-kernel binding: None until the first apply, False
+        # when no kernel is available (numpy array pass instead).
+        self._kern = None
 
         # residual-form (chord) lane kernel: one fused terminal gather
         # through a zero-padded iterate (ground -> pad column ``size``)
@@ -599,29 +600,21 @@ class NonlinearPlan:
         self._temp_cache[temp_c] = cached
         return cached
 
-    def _loop_meta(self, temp_c: float) -> tuple:
-        """Per-device metadata tuples for the fused scalar loop, merged
-        with the temperature-resolved parameters and cached per temp."""
-        cached = self._loop_cache.get(temp_c)
-        if cached is not None:
-            return cached
+    def _kernel_params(self, temp_c: float) -> np.ndarray:
+        """Per-device parameter rows of the compiled kernel at ``temp_c``:
+        ``(pol, beta, nvt, vth, lam)`` per mosfet, ``(isat, vt)`` per
+        diode, in device order."""
         beta, nvt, vth, lam, di_isat, di_vt = self._temp_params(temp_c)
-        mos_meta = tuple(
-            (int(self._mos_d[i]), int(self._mos_g[i]), int(self._mos_s[i]),
-             float(self._mos_pol[i]), float(beta[i]), float(nvt[i]),
-             float(vth[i]), float(lam[i]), int(self._mos_A_pos[i, 0]),
-             int(self._mos_b_pos[i, 0]))
-            for i in range(len(self.mosfets)))
-        di_meta = tuple(
-            (int(self._di_a[i]), int(self._di_c[i]), float(di_isat[i]),
-             float(di_vt[i]), int(self._di_A_pos[i, 0]),
-             int(self._di_b_pos[i, 0]))
-            for i in range(len(self.diodes)))
-        cached = (mos_meta, di_meta)
-        if len(self._loop_cache) > 16:
-            self._loop_cache.clear()
-        self._loop_cache[temp_c] = cached
-        return cached
+        par = np.zeros((len(self._k_dev), 5))
+        par[self._k_mos] = np.column_stack(
+            [self._mos_pol, beta, nvt, vth, lam])
+        par[~self._k_mos, :2] = np.column_stack([di_isat, di_vt])
+        return par
+
+    def __getstate__(self):
+        # The kernel binding holds process-local pointers; a copy binds
+        # anew on its first apply.
+        return dict(self.__dict__, _kern=None)
 
     def _swap_idx(self, swap: np.ndarray) -> np.ndarray:
         """Combined ``[A | b]`` slot indices for the per-mosfet swap
@@ -653,103 +646,20 @@ class NonlinearPlan:
         return idx
 
     def apply(self, flat: np.ndarray, x: np.ndarray,
-              temp_c: float) -> None:
-        """Linearize every nonlinear device around ``x`` and scatter into
-        the combined ``[A | scrapA | b | scrapB]`` scratch buffer."""
-        if self._use_vec:
-            self._apply_vec(flat, x, temp_c)
-        else:
-            self._apply_loop(flat, x, temp_c)
-
-    def _apply_loop(self, flat: np.ndarray, x: np.ndarray,
-                    temp_c: float) -> None:
-        """Fused scalar loop over all nonlinear devices.
-
-        Every expression mirrors the per-device model code
-        (:func:`~repro.spice.mosfet.mosfet_curves`, :meth:`Diode.iv`)
-        operation for operation, so the scattered values are bitwise
-        those of the vectorized kernel and of the legacy stamp walk.
-        The slot signs are folded into the written values (negation is
-        exact), saving the sign-vector multiply of the array path.
-        """
-        mos_meta, di_meta = self._loop_meta(temp_c)
-        xl = x.tolist()
-        xl.append(0.0)  # ground sentinel: index -1 reads 0 V branch-free
-        qa = self._qa
-        vb = self._vb
-        mask = 0
-        exp = math.exp
-        log1p = math.log1p
-        for k, (di, gi, si, p, be, nv, vt, la, a0, b0) in \
-                enumerate(mos_meta):
-            vd = xl[di]
-            vg = xl[gi]
-            vs = xl[si]
-            if p * (vd - vs) < 0.0:
-                vnd = vs
-                vns = vd
-                mask |= 1 << k
-                s = 1.0
-            else:
-                vnd = vd
-                vns = vs
-                s = -1.0
-            vgs = p * (vg - vns)
-            vds = p * (vnd - vns)
-            vov = vgs - vt
-            u = vov / nv
-            if u > _MOS_EXP_CLAMP:
-                sp = u
-                sg = 1.0
-            elif u < -_MOS_EXP_CLAMP:
-                sp = 0.0
-                sg = 0.0
-            else:
-                sp = log1p(exp(u))
-                sg = 1.0 / (1.0 + exp(-u))
-            veff = nv * sp
-            clm = 1.0 + la * vds
-            if vds < veff:  # triode
-                gm = be * vds * clm * sg
-                gds = be * ((veff - vds) * clm
-                            + (veff - 0.5 * vds) * vds * la)
-                i_real = p * (be * (veff - 0.5 * vds) * vds * clm)
-            else:  # saturation
-                hb = 0.5 * be * veff * veff
-                gm = be * veff * clm * sg
-                gds = hb * la
-                i_real = p * (hb * clm)
-            residual = i_real - gds * (vnd - vns) - gm * (vg - vns)
-            qa[a0] = gds
-            qa[a0 + 1] = gds
-            qa[a0 + 2] = -gds
-            qa[a0 + 3] = -gds
-            qa[a0 + 4] = gm
-            qa[a0 + 5] = -gm
-            qa[a0 + 6] = -gm
-            qa[a0 + 7] = gm
-            vb[b0] = s * residual
-            vb[b0 + 1] = -s * residual
-        for (ai, ci, isat, dvt, a0, b0) in di_meta:
-            v = xl[ai] - xl[ci]
-            arg = v / dvt
-            if arg > _DIODE_EXP_CLAMP:
-                arg = _DIODE_EXP_CLAMP
-            e = exp(arg)
-            i = isat * (e - 1.0)
-            gd = isat * e / dvt
-            ires = i - gd * v
-            qa[a0] = gd
-            qa[a0 + 1] = gd
-            qa[a0 + 2] = -gd
-            qa[a0 + 3] = -gd
-            vb[b0] = -ires
-            vb[b0 + 1] = ires
-        quant = self._quant
-        n_A = self._n_A
-        quant[:n_A] = qa
-        quant[n_A:] = vb
-        np.add.at(flat, self._swap_idx_mask(mask), quant)
+              temp_c: float) -> bool:
+        """Linearize every nonlinear device around ``x`` and accumulate
+        the stamps into the combined ``[A | scrapA | b | scrapB]``
+        scratch buffer.  Returns ``True`` when the compiled kernel
+        served, ``False`` for the numpy array pass (same bits)."""
+        kern = self._kern
+        if kern is None:
+            from repro.spice.devkernel import bind
+            kern = self._kern = bind(self.size, self._k_dev) or False
+        if kern:
+            kern.run(flat, x, temp_c, self._kernel_params)
+            return True
+        self._apply_vec(flat, x, temp_c)
+        return False
 
     def _linearize(self, x: np.ndarray, temp_c: float, exact: bool
                    ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -759,7 +669,8 @@ class NonlinearPlan:
         size)``; returns the ``[A | b]`` slot values in the same layout
         and the per-mosfet swap pattern (``None`` without mosfets).
         ``exact`` picks the device-model transcendentals: libm (bitwise
-        the scalar loop) or numpy SIMD (lanes).
+        the compiled kernel and the per-device walk) or numpy SIMD
+        (lanes).
         """
         beta, nvt, vth, lam, di_isat, di_vt = self._temp_params(temp_c)
         g = np.where(self._term_idx >= 0, x[..., self._term_idx], 0.0)
@@ -793,7 +704,7 @@ class NonlinearPlan:
 
     def _apply_vec(self, flat: np.ndarray, x: np.ndarray,
                    temp_c: float) -> None:
-        """Array-pass evaluation (large device counts)."""
+        """Exact numpy array pass: the fallback of :meth:`apply`."""
         vals, swap = self._linearize(x, temp_c, exact=True)
         mask = 0 if swap is None else int.from_bytes(
             np.packbits(swap, bitorder="little").tobytes(), "little")

@@ -4,7 +4,8 @@ The kernel layer's hard requirement is that a plan-assembled system is
 *bitwise* equal to the legacy per-device assembly — not merely close.
 These property tests draw random circuits over every plannable device
 class and compare the assembled matrices of the two paths exactly, for
-both nonlinear evaluation kernels (fused scalar loop and array pass).
+both nonlinear evaluation kernels (the compiled device pass and its
+numpy array-pass fallback).
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.spice import (
     Resistor,
     VoltageSource,
 )
+from repro.spice import devkernel
 from repro.spice.mna import System
 from repro.spice.netlist import AnalysisContext, Device
 from repro.spice.plans import compile_nonlinear, compile_sources
@@ -95,20 +97,25 @@ class TestAssemblyParity:
            x_vals=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=12),
            temp_c=st.sampled_from([27.0, 85.0]))
     @settings(max_examples=40, deadline=None)
-    def test_vec_kernel_matches_scalar_loop_bitwise(self, circuit, x_vals,
-                                                    temp_c):
-        """The array pass and the fused scalar loop agree bit for bit."""
+    def test_compiled_kernel_matches_array_pass_bitwise(self, circuit,
+                                                        x_vals, temp_c):
+        """The compiled device pass and the numpy array pass agree bit
+        for bit on the whole scratch buffer, scrap slots included."""
+        if devkernel.load() is None:
+            pytest.skip(f"no compiled device kernel: "
+                        f"{devkernel.describe()}")
         sys_p = System(circuit, use_plans=True)
         nl = sys_p.plans.nonlinear
         if nl is None or not (nl.mosfets or nl.diodes):
             return
         size = sys_p.size
         x = np.resize(np.asarray(x_vals, dtype=float), size)
-        flat_loop = np.zeros(size * size + size + 2)
-        flat_vec = np.zeros_like(flat_loop)
-        nl._apply_loop(flat_loop, x, temp_c)
+        base = np.random.default_rng(len(x_vals)).standard_normal(
+            size * size + size + 2)
+        flat_kernel, flat_vec = base.copy(), base.copy()
+        assert nl.apply(flat_kernel, x, temp_c)
         nl._apply_vec(flat_vec, x, temp_c)
-        assert np.array_equal(flat_loop, flat_vec)
+        assert np.array_equal(flat_kernel, flat_vec)
 
     @given(circuit=circuits(),
            x_vals=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=12),
@@ -117,11 +124,13 @@ class TestAssemblyParity:
     @settings(max_examples=30, deadline=None)
     def test_forced_vec_paths_stay_bitwise(self, circuit, x_vals, dt,
                                            method):
-        """Forcing ``_use_vec`` (large-count path) changes nothing."""
+        """Forcing the array paths — the numpy device pass (the fallback
+        without a compiled kernel) and the large-count capacitor rhs —
+        changes nothing."""
         sys_p = System(circuit, use_plans=True)
         sys_f = System(circuit, use_plans=False)
         if sys_p.plans.nonlinear is not None:
-            sys_p.plans.nonlinear._use_vec = True
+            sys_p.plans.nonlinear._kern = False
         if sys_p.plans.dynamic is not None:
             sys_p.plans.dynamic._use_vec = True
         size = sys_p.size

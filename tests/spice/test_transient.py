@@ -267,29 +267,40 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("method", ["be", "trap"])
     def test_array_pass_transient_is_bitwise_identical(self, method):
-        """The exact array pass (>= VEC_CROSSOVER devices) in a real run.
+        """Both device kernels in a real array run.
 
-        An untrimmed 6x6 array has 78 nonlinear devices, so the plan
-        linearizes them with the array kernel rather than the fused
-        scalar loop, and its system resolves to the dense backend.
+        An untrimmed 6x6 array has 78 nonlinear devices (the size that
+        once switched to the array pass) and resolves to the dense
+        backend.  The compiled device pass and the numpy array pass (the
+        fallback without a compiler, forced here) must each reproduce
+        the per-device oracle bit for bit.
         """
         from repro.dram.array import build_array
+        from repro.spice import devkernel
         from repro.spice.mna import System
-        from repro.spice.plans import VEC_CROSSOVER
 
         def netlist():
             net = build_array(6, 6)
             net.set_waveforms(net.activation_waveforms(0))
             return net.circuit
 
-        circuit = netlist()
-        system = System(circuit)
-        nl = system.plans.nonlinear
-        assert len(nl.mosfets) + len(nl.diodes) >= VEC_CROSSOVER
-        assert nl._use_vec
         kw = dict(tstop=20e-9, dt=0.2e-9, method=method)
-        fast = transient(circuit, system=system, backend="auto", **kw)
-        _compare(fast, oracle.transient(netlist(), **kw), bitwise=True)
+        want = oracle.transient(netlist(), **kw)
+        served = {}
+        for compiled in (True, False):
+            circuit = netlist()
+            system = System(circuit)
+            nl = system.plans.nonlinear
+            assert len(nl.mosfets) + len(nl.diodes) == 78
+            if not compiled:
+                nl._kern = False
+            elif devkernel.load() is None:
+                continue  # no compiler here: the fallback arm still runs
+            got = transient(circuit, system=system, backend="auto", **kw)
+            _compare(got, want, bitwise=True)
+            served[compiled] = bool(nl._kern)
+        assert served.get(False) is False
+        assert served.get(True, True) is True
 
     def test_unplannable_step_layer_matches_oracle(self):
         """A source the plan compiler cannot record sends the step layer

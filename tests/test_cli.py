@@ -41,6 +41,33 @@ class TestParser:
         assert args.no_cache
         assert args.verbose
 
+    @pytest.mark.parametrize("argv", [
+        ["planes", "--points", "0"],
+        ["planes", "--points", "1"],
+        ["coverage", "--points", "1"],
+        ["table1", "--workers", "0"],
+        ["planes", "--lanes", "-1"],
+        ["planes", "--timeout", "-5"],
+        ["planes", "--timeout", "0"],
+        ["planes", "--timeout", "nan"],
+        ["coverage", "--max-retries", "-1"],
+        ["array", "--workers", "-2"],
+    ])
+    def test_out_of_range_values_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {argv[1]}: must be" in err
+
+    def test_boundary_values_are_accepted(self):
+        args = build_parser().parse_args(
+            ["planes", "--points", "2", "--workers", "1", "--lanes", "0",
+             "--timeout", "0.5", "--max-retries", "0"])
+        assert (args.points, args.workers, args.lanes, args.timeout,
+                args.max_retries) == (2, 1, 0, 0.5, 0)
+
 
 class TestCommands:
     def test_optimize_unknown_defect(self, capsys):
@@ -117,6 +144,12 @@ class TestProfileFlag:
         captured = capsys.readouterr()
         assert "solver kernels:" in captured.err
         assert "plan_iteration_assembly" in captured.err
+        from repro.spice import devkernel
+        served = devkernel.describe()
+        assert f"device kernel: {served}" in captured.err
+        kind = "compiled" if served == "compiled" else "numpy"
+        assert f"device_kernel_{kind} x" in captured.err
+        assert "device kernel" not in captured.out
 
 
 class TestArrayCommand:
